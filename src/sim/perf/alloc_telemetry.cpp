@@ -31,6 +31,12 @@ struct ThreadBlock {
   std::atomic<std::uint64_t> bytes_freed{0};
 };
 
+// POD thread-locals only: no dynamic initialization, no destructors, so
+// the hooks are safe during process startup and thread teardown.
+thread_local ThreadBlock* t_block = nullptr;
+thread_local bool t_in_hook = false;
+thread_local int t_suspend = 0;
+
 std::mutex& registry_mutex() {
   static std::mutex m;
   return m;
@@ -38,16 +44,19 @@ std::mutex& registry_mutex() {
 
 // Heap-allocated and reachable through a static pointer for the life of
 // the process: blocks survive their thread, and LSan sees them as live.
+// The first-use `new` runs inside the hook flag, so it is never counted
+// and never re-enters block_for_thread(), which takes registry_mutex():
+// registry() is safe to call with that mutex held, whoever calls first.
 std::vector<ThreadBlock*>& registry() {
-  static std::vector<ThreadBlock*>* r = new std::vector<ThreadBlock*>();
+  static std::vector<ThreadBlock*>* r = [] {
+    const bool was_in_hook = t_in_hook;
+    t_in_hook = true;
+    auto* fresh = new std::vector<ThreadBlock*>();
+    t_in_hook = was_in_hook;
+    return fresh;
+  }();
   return *r;
 }
-
-// POD thread-locals only: no dynamic initialization, no destructors, so
-// the hooks are safe during process startup and thread teardown.
-thread_local ThreadBlock* t_block = nullptr;
-thread_local bool t_in_hook = false;
-thread_local int t_suspend = 0;
 
 ThreadBlock* block_for_thread() {
   if (t_block == nullptr) {

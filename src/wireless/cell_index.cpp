@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "sim/assert.hpp"
-#include "sim/perf/perf.hpp"
 
 namespace tracemod::wireless {
 
@@ -61,25 +61,19 @@ void CellIndex::cell_span(Vec2 p, double radius, std::int64_t* x0,
   *y1 = static_cast<std::int64_t>(std::floor((p.y + radius) / cell_size_));
 }
 
-void CellIndex::for_each_candidate(
-    Vec2 p, double radius, const std::function<void(std::uint32_t)>& fn) const {
-  sim::perf::PerfScope perf_scope(sim::perf::Domain::kCellIndex,
-                                  "cell.query");
-  if (!sharded()) {
-    auto it = cells_.find(0);
-    if (it == cells_.end()) return;
-    for (std::uint32_t id : it->second.entries) fn(id);
-    return;
+double CellIndex::span_stable_m(Vec2 p, double radius) const {
+  if (!sharded()) return std::numeric_limits<double>::infinity();
+  // cell_span floors each bounding-box edge in cell units; the span holds
+  // while no edge crosses a grid line.  A move of delta shifts each edge by
+  // at most delta.
+  constexpr double kMarginM = 1e-6;
+  double slack = std::numeric_limits<double>::infinity();
+  for (double edge : {p.x - radius, p.x + radius, p.y - radius, p.y + radius}) {
+    const double cells = edge / cell_size_;
+    const double frac = cells - std::floor(cells);
+    slack = std::min(slack, std::min(frac, 1.0 - frac) * cell_size_);
   }
-  std::int64_t x0, x1, y0, y1;
-  cell_span(p, radius, &x0, &x1, &y0, &y1);
-  for (std::int64_t iy = y0; iy <= y1; ++iy) {
-    for (std::int64_t ix = x0; ix <= x1; ++ix) {
-      auto it = cells_.find(key_of(ix, iy));
-      if (it == cells_.end()) continue;
-      for (std::uint32_t id : it->second.entries) fn(id);
-    }
-  }
+  return std::max(0.0, slack - kMarginM);
 }
 
 void CellIndex::covered_cells(Vec2 p, double radius,

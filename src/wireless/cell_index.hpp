@@ -22,10 +22,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/perf/perf.hpp"
 #include "wireless/geometry.hpp"
 
 namespace tracemod::wireless {
@@ -80,9 +80,36 @@ class CellIndex {
   /// superset of the entries within radius, visited in deterministic order
   /// (cells in row-major scan order over the disc's bounding box, entries
   /// in registration order within each cell).  Flat mode visits everything
-  /// in registration order -- the seed's full scan.
-  void for_each_candidate(Vec2 p, double radius,
-                          const std::function<void(std::uint32_t)>& fn) const;
+  /// in registration order -- the seed's full scan.  `visit(id)` is called
+  /// directly (a template, not a type-erased callback): this is the inner
+  /// loop of every association scan.
+  template <typename Visit>
+  void for_each_candidate(Vec2 p, double radius, Visit&& visit) const {
+    sim::perf::PerfScope perf_scope(sim::perf::Domain::kCellIndex,
+                                    "cell.query");
+    if (!sharded()) {
+      auto it = cells_.find(0);
+      if (it == cells_.end()) return;
+      for (std::uint32_t id : it->second.entries) visit(id);
+      return;
+    }
+    std::int64_t x0, x1, y0, y1;
+    cell_span(p, radius, &x0, &x1, &y0, &y1);
+    for (std::int64_t iy = y0; iy <= y1; ++iy) {
+      for (std::int64_t ix = x0; ix <= x1; ++ix) {
+        auto it = cells_.find(key_of(ix, iy));
+        if (it == cells_.end()) continue;
+        for (std::uint32_t id : it->second.entries) visit(id);
+      }
+    }
+  }
+
+  /// How far p may move, in any direction, before the cell span of the
+  /// disc (p, radius) -- and with it the set for_each_candidate visits --
+  /// can change: the distance from the disc's bounding-box edges to the
+  /// nearest grid line, less a small margin against rounding.  Infinite in
+  /// flat mode, where the set never depends on p.
+  double span_stable_m(Vec2 p, double radius) const;
 
   /// Appends the keys of every cell overlapping the disc (p, radius) in
   /// the same deterministic scan order.  Flat mode appends the single key.

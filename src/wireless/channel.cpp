@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "sim/assert.hpp"
 #include "sim/metric_names.hpp"
@@ -19,6 +20,8 @@ WirelessChannel::WirelessChannel(sim::EventLoop& loop, SignalModel model,
 
 void WirelessChannel::add_wavepoint(BaseStation* wp) {
   TM_ASSERT(wp != nullptr);
+  // Scan caches assume a fixed WavePoint set once polling runs.
+  TM_ASSERT(!started_);
   // WavePoints are fixed infrastructure: index them once at their mounting
   // position.  Ids are registration indices into wavepoints_.
   wp_index_.insert(static_cast<std::uint32_t>(wavepoints_.size()),
@@ -31,11 +34,14 @@ void WirelessChannel::add_mobile(Transceiver* mobile, net::IpAddress addr) {
   // Registration is closed once the channel starts: pending handoff events
   // hold pointers into mobiles_.
   TM_ASSERT(!started_);
-  TM_ASSERT(mobile_by_radio_.find(mobile) == mobile_by_radio_.end());
-  TM_ASSERT(mobile_by_addr_.find(addr) == mobile_by_addr_.end());
-  mobile_by_radio_.emplace(mobile, mobiles_.size());
-  mobile_by_addr_.emplace(addr, mobiles_.size());
-  mobiles_.push_back(MobileEntry{mobile, addr, nullptr, false, {}});
+  TM_ASSERT(mobile->mobile_slot_ == Transceiver::kNoSlot);
+  const auto at = addr_lower_bound(addr);
+  TM_ASSERT(at == mobile_by_addr_.end() || at->first != addr);
+  // Hosts usually register in address order, which makes this an append.
+  mobile_by_addr_.insert(
+      at, {addr, static_cast<std::uint32_t>(mobiles_.size())});
+  mobile->mobile_slot_ = mobiles_.size();
+  mobiles_.push_back(MobileEntry{mobile, nullptr, {}, addr, false});
 }
 
 void WirelessChannel::set_telemetry(sim::SimContext& ctx) {
@@ -51,26 +57,38 @@ void WirelessChannel::set_telemetry(sim::SimContext& ctx) {
 void WirelessChannel::start() {
   if (started_) return;
   started_ = true;
+  scan_cache_.assign(mobiles_.size(), ScanCache{});
   poll_associations();  // immediate first pass, then periodic
   if (cfg_.burst_extra_err > 0.0) schedule_burst_flip();
 }
 
 WirelessChannel::MobileEntry* WirelessChannel::find_mobile(
     const Transceiver* radio) {
-  auto it = mobile_by_radio_.find(radio);
-  return it != mobile_by_radio_.end() ? &mobiles_[it->second] : nullptr;
+  return const_cast<MobileEntry*>(std::as_const(*this).find_mobile(radio));
 }
 
 const WirelessChannel::MobileEntry* WirelessChannel::find_mobile(
     const Transceiver* radio) const {
-  auto it = mobile_by_radio_.find(radio);
-  return it != mobile_by_radio_.end() ? &mobiles_[it->second] : nullptr;
+  if (radio == nullptr) return nullptr;
+  // The slot check also rejects a radio registered with another channel.
+  const std::size_t i = radio->mobile_slot_;
+  return i < mobiles_.size() && mobiles_[i].radio == radio ? &mobiles_[i]
+                                                           : nullptr;
+}
+
+WirelessChannel::AddrIndex::const_iterator WirelessChannel::addr_lower_bound(
+    net::IpAddress addr) const {
+  return std::lower_bound(
+      mobile_by_addr_.begin(), mobile_by_addr_.end(), addr,
+      [](const auto& entry, net::IpAddress a) { return entry.first < a; });
 }
 
 WirelessChannel::MobileEntry* WirelessChannel::find_mobile_by_addr(
     net::IpAddress addr) {
-  auto it = mobile_by_addr_.find(addr);
-  return it != mobile_by_addr_.end() ? &mobiles_[it->second] : nullptr;
+  const auto it = addr_lower_bound(addr);
+  return it != mobile_by_addr_.end() && it->first == addr
+             ? &mobiles_[it->second]
+             : nullptr;
 }
 
 BaseStation* WirelessChannel::associated(const Transceiver* mobile) const {
@@ -235,87 +253,143 @@ void WirelessChannel::finish_attempt(Attempt attempt, sim::TimePoint) {
   }
 }
 
-void WirelessChannel::associate(MobileEntry& entry, BaseStation* wp) {
+void WirelessChannel::associate(std::size_t i, BaseStation* wp) {
+  MobileEntry& entry = mobiles_[i];
   if (entry.assoc != nullptr) entry.assoc->unclaim_mobile(entry.addr);
   entry.assoc = wp;
   if (wp != nullptr) wp->claim_mobile(entry.addr);
+  scan_cache_[i].radius = 0.0;  // the next poll scans in full
 }
 
-WirelessChannel::ScanResult WirelessChannel::scan_mobile(
-    const MobileEntry& entry) const {
+WirelessChannel::ScanResult WirelessChannel::scan_mobile(std::size_t i) const {
   ScanResult scan;
+  const MobileEntry& entry = mobiles_[i];
   if (entry.in_handoff) {
     scan.skipped = true;
     return scan;
   }
-  const Vec2 pos = entry.radio->position();
+  scan.pos = entry.radio->position();
+  // Inside the safe radius of the last no-op scan, a full scan would
+  // provably change nothing (noop_radius); skip it.
+  const ScanCache& cache = scan_cache_[i];
+  const double cx = scan.pos.x - cache.pos.x;
+  const double cy = scan.pos.y - cache.pos.y;
+  if (cx * cx + cy * cy < cache.radius * cache.radius) {
+    scan.skipped = true;
+    return scan;
+  }
+  double nearest_sq = std::numeric_limits<double>::infinity();
+  const auto note_distance = [&](Vec2 at) {
+    const double dx = at.x - scan.pos.x;
+    const double dy = at.y - scan.pos.y;
+    nearest_sq = std::min(nearest_sq, dx * dx + dy * dy);
+  };
   // Candidate query: in the flat configuration this visits every WavePoint
   // in registration order (the seed's full scan); sharded, only WavePoints
   // in cells overlapping the interaction disc -- the fix for the old
   // O(mobiles x wavepoints) poll.
   wp_index_.for_each_candidate(
-      pos, cfg_.spatial.radio_range_m, [&](std::uint32_t id) {
+      scan.pos, cfg_.spatial.radio_range_m, [&](std::uint32_t id) {
         BaseStation* wp = wavepoints_[id];
+        const Vec2 at = wp->position();
         const double rx =
-            model_.median_rx_dbm(wp->position(), wp->tx_power_dbm(), pos);
+            model_.median_rx_dbm(at, wp->tx_power_dbm(), scan.pos);
         if (rx > scan.best_rx) {
           scan.best_rx = rx;
           scan.best = wp;
         }
+        if (wp != entry.assoc) scan.rival_rx = std::max(scan.rival_rx, rx);
+        note_distance(at);
       });
   if (entry.assoc != nullptr) {
-    scan.cur_rx = model_.median_rx_dbm(entry.assoc->position(),
-                                       entry.assoc->tx_power_dbm(), pos);
+    const Vec2 at = entry.assoc->position();
+    scan.cur_rx =
+        model_.median_rx_dbm(at, entry.assoc->tx_power_dbm(), scan.pos);
+    note_distance(at);
   }
+  scan.nearest_m = std::sqrt(nearest_sq);
   return scan;
 }
 
-void WirelessChannel::apply_scan(MobileEntry& entry, const ScanResult& scan) {
+double WirelessChannel::noop_radius(const MobileEntry& entry,
+                                    const ScanResult& scan) const {
+  // With negative hysteresis, "best is the current WavePoint" is a no-op
+  // that rests on which reading is largest, not on a margin in dB.
+  if (cfg_.handoff_hysteresis_db < 0.0) return 0.0;
+  // The no-op's slack: how far the readings may drift, in dB, before
+  // apply_scan would act.  No candidate: only the cell span matters.
+  double slack_db = std::numeric_limits<double>::infinity();
+  if (scan.best != nullptr && entry.assoc == nullptr) {
+    // Every candidate stays below the association floor.
+    slack_db = cfg_.association_floor_dbm - scan.best_rx;
+  } else if (scan.best != nullptr) {
+    // The best candidate stays at or above the drop threshold, and no
+    // rival overtakes the current WavePoint by more than the hysteresis
+    // (the current WavePoint's own reading is cur_rx exactly).
+    slack_db = std::min(scan.best_rx - (cfg_.association_floor_dbm - 5.0),
+                        scan.cur_rx + cfg_.handoff_hysteresis_db -
+                            scan.rival_rx);
+  }
+  return std::min(
+      model_.stable_radius_m(scan.nearest_m, slack_db),
+      wp_index_.span_stable_m(scan.pos, cfg_.spatial.radio_range_m));
+}
+
+void WirelessChannel::apply_scan(std::size_t i, const ScanResult& scan) {
   if (scan.skipped) return;
+  MobileEntry& entry = mobiles_[i];
+  // Each no-op below records its safe radius; each action goes through
+  // associate() or the handoff, which clear it.
+  const auto no_op = [&] {
+    scan_cache_[i] = ScanCache{scan.pos, noop_radius(entry, scan)};
+  };
   BaseStation* best = scan.best;
   const double best_rx = scan.best_rx;
-  if (best == nullptr) return;
+  if (best == nullptr) return no_op();
 
   if (entry.assoc == nullptr) {
-    if (best_rx >= cfg_.association_floor_dbm) associate(entry, best);
+    if (best_rx >= cfg_.association_floor_dbm) {
+      associate(i, best);
+    } else {
+      no_op();
+    }
     return;
   }
   // Out of range of everything: the roaming protocol drops the
   // association entirely (5 dB of hysteresis against flapping).
   if (best_rx < cfg_.association_floor_dbm - 5.0) {
-    associate(entry, nullptr);
+    associate(i, nullptr);
     return;
   }
-  if (best == entry.assoc) return;
-  if (best_rx > scan.cur_rx + cfg_.handoff_hysteresis_db) {
-    // Roaming protocol: brief outage, then re-association (the paper's
-    // WavePoint handoffs).
-    entry.assoc->unclaim_mobile(entry.addr);
-    entry.assoc = nullptr;
-    entry.in_handoff = true;
-    ++stats_.handoffs;
-    if (m_handoffs_ != nullptr) ++*m_handoffs_;
-    if (tel_ != nullptr) {
-      tel_->recorder().begin(trk_air_, "handoff", stats_.handoffs,
-                             loop_.now());
-      tel_->recorder().end(trk_air_, "handoff", stats_.handoffs,
-                           loop_.now() + cfg_.handoff_outage);
-    }
-    MobileEntry* entry_ptr = &entry;
-    loop_.schedule(
-        cfg_.handoff_outage,
-        [this, entry_ptr, best] {
-          entry_ptr->in_handoff = false;
-          associate(*entry_ptr, best);
-          // Flush the frames the driver held back during the handoff.
-          std::vector<net::Packet> held = std::move(entry_ptr->deferred);
-          entry_ptr->deferred.clear();
-          for (net::Packet& pkt : held) {
-            start_attempt(Attempt{entry_ptr->radio, best, std::move(pkt), 0});
-          }
-        },
-        "wireless.handoff");
+  if (best == entry.assoc) return no_op();
+  if (!(best_rx > scan.cur_rx + cfg_.handoff_hysteresis_db)) return no_op();
+  // Roaming protocol: brief outage, then re-association (the paper's
+  // WavePoint handoffs).
+  entry.assoc->unclaim_mobile(entry.addr);
+  entry.assoc = nullptr;
+  entry.in_handoff = true;
+  scan_cache_[i].radius = 0.0;
+  ++stats_.handoffs;
+  if (m_handoffs_ != nullptr) ++*m_handoffs_;
+  if (tel_ != nullptr) {
+    tel_->recorder().begin(trk_air_, "handoff", stats_.handoffs, loop_.now());
+    tel_->recorder().end(trk_air_, "handoff", stats_.handoffs,
+                         loop_.now() + cfg_.handoff_outage);
   }
+  loop_.schedule(
+      cfg_.handoff_outage,
+      [this, i, best] {
+        MobileEntry& moved = mobiles_[i];
+        moved.in_handoff = false;
+        associate(i, best);
+        // Flush the frames the driver held back during the handoff.
+        std::vector<net::Packet> held = std::move(moved.deferred);
+        moved.deferred.clear();
+        for (net::Packet& pkt : held) {
+          start_attempt(Attempt{moved.radio, best, std::move(pkt), 0});
+        }
+      },
+      "wireless.handoff");
 }
 
 void WirelessChannel::poll_associations() {
@@ -331,16 +405,14 @@ void WirelessChannel::poll_associations() {
     parallel_for_(n_chunks, [&](std::size_t c) {
       const std::size_t lo = c * chunk;
       const std::size_t hi = std::min(lo + chunk, mobiles_.size());
-      for (std::size_t i = lo; i < hi; ++i) {
-        scans[i] = scan_mobile(mobiles_[i]);
-      }
+      for (std::size_t i = lo; i < hi; ++i) scans[i] = scan_mobile(i);
     });
     for (std::size_t i = 0; i < mobiles_.size(); ++i) {
-      apply_scan(mobiles_[i], scans[i]);
+      apply_scan(i, scans[i]);
     }
   } else {
-    for (MobileEntry& entry : mobiles_) {
-      apply_scan(entry, scan_mobile(entry));
+    for (std::size_t i = 0; i < mobiles_.size(); ++i) {
+      apply_scan(i, scan_mobile(i));
     }
   }
   loop_.schedule(cfg_.association_poll, [this] { poll_associations(); },

@@ -26,6 +26,11 @@
 //     across worker threads via set_parallel_for; mutations are applied
 //     serially in registration order, so serial and parallel sharded runs
 //     are bit-identical.
+// The association poll is incremental (DESIGN.md section 11): a full scan
+// that changes nothing leaves a safe radius around the mobile, and later
+// polls skip the scan while the mobile stays inside it.  The radius comes
+// from the decision's slack in dB and the candidate cell span, so a
+// skipped scan is one that provably would have changed nothing.
 // The default spatial config (cell_size 0) is the degenerate single-cell
 // grid: every code path reduces to the seed's flat-medium arithmetic and
 // outputs stay bit-identical to it (pinned by tests and the sweep golden).
@@ -36,8 +41,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -61,6 +68,13 @@ class Transceiver {
   virtual double tx_power_dbm() const = 0;
   virtual void receive_frame(net::Packet pkt) = 0;
   virtual std::string label() const = 0;
+
+ private:
+  friend class WirelessChannel;
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  /// The radio's index in its channel's mobile table, stamped by
+  /// add_mobile (a radio registers with one channel at most).
+  std::size_t mobile_slot_ = kNoSlot;
 };
 
 /// A base station radio; claims its associated mobiles' addresses on the
@@ -125,6 +139,8 @@ class WirelessChannel {
   WirelessChannel(sim::EventLoop& loop, SignalModel model, ChannelConfig cfg,
                   sim::Rng rng);
 
+  /// WavePoints are fixed infrastructure: a constant position and transmit
+  /// power, registered before start().
   void add_wavepoint(BaseStation* wp);
   void add_mobile(Transceiver* mobile, net::IpAddress addr);
 
@@ -172,12 +188,12 @@ class WirelessChannel {
   std::size_t busy_cells_tracked() const { return cell_busy_.size(); }
 
  private:
-  struct MobileEntry {
+  struct MobileEntry {  // fields ordered to pack into 48 B
     Transceiver* radio = nullptr;
-    net::IpAddress addr;
     BaseStation* assoc = nullptr;
-    bool in_handoff = false;
     std::vector<net::Packet> deferred;  ///< held during handoff
+    net::IpAddress addr;
+    bool in_handoff = false;
   };
 
   struct Attempt {
@@ -194,23 +210,43 @@ class WirelessChannel {
     BaseStation* best = nullptr;
     double best_rx = -1e9;
     double cur_rx = -1e9;
-    bool skipped = false;  ///< mobile was mid-handoff at scan time
+    /// Strongest candidate other than the current WavePoint, if any.
+    double rival_rx = -std::numeric_limits<double>::infinity();
+    /// Distance to the nearest WavePoint read (a candidate or the current).
+    double nearest_m = std::numeric_limits<double>::infinity();
+    Vec2 pos;  ///< the mobile's position at scan time
+    /// Mid-handoff, or still inside the safe radius of its last no-op scan.
+    bool skipped = false;
+  };
+
+  /// Where a mobile's last full scan ended in a no-op, and how far it may
+  /// move from there before the decision can change (0: scan every poll).
+  struct ScanCache {
+    Vec2 pos;
+    double radius = 0.0;
   };
 
   void start_attempt(Attempt attempt);
   void finish_attempt(Attempt attempt, sim::TimePoint started);
   void poll_associations();
-  void associate(MobileEntry& entry, BaseStation* wp);
+  void associate(std::size_t i, BaseStation* wp);
   void schedule_burst_flip();
   MobileEntry* find_mobile(const Transceiver* radio);
   const MobileEntry* find_mobile(const Transceiver* radio) const;
   MobileEntry* find_mobile_by_addr(net::IpAddress addr);
+  /// (address, mobile index) pairs, sorted by address.
+  using AddrIndex = std::vector<std::pair<net::IpAddress, std::uint32_t>>;
+  AddrIndex::const_iterator addr_lower_bound(net::IpAddress addr) const;
 
-  /// The pure scan (no RNG, no mutation): safe to run on shard workers.
-  ScanResult scan_mobile(const MobileEntry& entry) const;
+  /// The pure scan of mobile i (no RNG, no mutation): safe to run on
+  /// shard workers.  Only reads the position while the mobile is inside
+  /// its safe radius.
+  ScanResult scan_mobile(std::size_t i) const;
   /// Applies one mobile's scan result: the seed's association/handoff
-  /// logic, verbatim.  Event-loop thread only.
-  void apply_scan(MobileEntry& entry, const ScanResult& scan);
+  /// logic, verbatim, plus the scan cache.  Event-loop thread only.
+  void apply_scan(std::size_t i, const ScanResult& scan);
+  /// The safe radius of a full scan whose result apply_scan left as is.
+  double noop_radius(const MobileEntry& entry, const ScanResult& scan) const;
 
   /// Earliest instant the medium is free across every cell within radio
   /// range of a transmitter at `pos` (the flat config reduces this to the
@@ -225,10 +261,13 @@ class WirelessChannel {
   sim::Rng rng_;
   std::vector<BaseStation*> wavepoints_;
   std::vector<MobileEntry> mobiles_;
-  /// O(1) mobile lookups; the seed's linear scans made every frame O(N)
-  /// and the whole medium O(N^2) at campus host counts.
-  std::unordered_map<const Transceiver*, std::size_t> mobile_by_radio_;
-  std::unordered_map<net::IpAddress, std::size_t> mobile_by_addr_;
+  /// Per mobile, sized in start(); written only by apply_scan and
+  /// associate, so the parallel scan phase reads it race-free.
+  std::vector<ScanCache> scan_cache_;
+  /// Downlink lookups by binary search: 8 B a mobile, where a hash map
+  /// node costs ~40 B.  By radio, the Transceiver carries its slot.  (The
+  /// seed's linear scans made every frame O(N) and the medium O(N^2).)
+  AddrIndex mobile_by_addr_;
   /// WavePoints bucketed by grid cell; candidate queries for association
   /// and handoff go through this instead of scanning all of them.
   CellIndex wp_index_;

@@ -13,6 +13,18 @@ double SignalModel::median_rx_dbm(Vec2 from, double tx_dbm, Vec2 to) const {
   return tx_dbm - loss;
 }
 
+double SignalModel::stable_radius_m(double nearest_m, double slack_db) const {
+  constexpr double kMarginDb = 1e-6;
+  constexpr double kMarginM = 1e-6;
+  if (!walls_.empty() || !zones_.empty() || !(nearest_m >= 1.0)) return 0.0;
+  const double slack = slack_db - kMarginDb;
+  if (!(slack > 0.0)) return 0.0;
+  const double radius =
+      nearest_m *
+      std::tanh(slack * std::log(10.0) / (20.0 * cfg_.path_exponent));
+  return std::max(0.0, radius - kMarginM);
+}
+
 void SignalModel::advance_shadow(sim::TimePoint t) {
   if (t <= shadow_at_) return;
   const double dt = sim::to_seconds(t - shadow_at_);

@@ -41,6 +41,21 @@ class SignalModel {
   /// Deterministic median received power (no shadowing/fading).
   double median_rx_dbm(Vec2 from, double tx_dbm, Vec2 to) const;
 
+  /// How far a receiver may move from where it took median_rx_dbm
+  /// readings before any of them, or any difference of two of them, can
+  /// have changed by slack_db, given that every transmitter it read is at
+  /// least nearest_m away.  Over a move of delta, log-distance path loss
+  /// raises a reading at distance d by at most 10 n log10(d / (d - delta))
+  /// and lowers one by at most 10 n log10((d + delta) / d); a difference
+  /// moves by at most their sum, 10 n log10((d + delta) / (d - delta)).
+  /// Both shrink as d grows, so nearest_m bounds every reading.  Solving
+  /// for delta gives d tanh(slack ln 10 / (20 n)).  A small margin in dB
+  /// and metres absorbs rounding.
+  /// Returns 0 (no safe move) when the model has walls or zones, whose
+  /// losses jump at boundaries; when nearest_m < 1 m, inside the path-loss
+  /// clamp; or when slack_db is not above the margin.
+  double stable_radius_m(double nearest_m, double slack_db) const;
+
   /// Received power including the current shadowing state; advances the
   /// shadowing process to time t first.
   double rx_dbm(Vec2 from, double tx_dbm, Vec2 to, sim::TimePoint t);

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <vector>
 
+#include "sim/random.hpp"
+
 namespace tracemod::wireless {
 namespace {
 
@@ -103,6 +105,45 @@ TEST(CellIndex, AssociationRangeInvertsPathLoss) {
   EXPECT_NEAR(rx, -90.0, 1e-9);
   // The 1 m reference clamp.
   EXPECT_EQ(association_range_m(0.0, 80.0, 3.0, -10.0), 1.0);
+}
+
+TEST(CellIndex, SpanStableRadiusKeepsTheCandidateSet) {
+  // Property: anywhere within span_stable_m of p, a query visits exactly
+  // the entries, in exactly the order, it visits at p.
+  CellIndex idx(60.0);
+  sim::Rng rng(77);
+  for (std::uint32_t id = 0; id < 40; ++id) {
+    idx.insert(id, {rng.uniform(-100.0, 500.0), rng.uniform(-100.0, 500.0)});
+  }
+  int moved_cells = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    const Vec2 p{rng.uniform(-50.0, 450.0), rng.uniform(-50.0, 450.0)};
+    const double radius = rng.uniform(10.0, 150.0);
+    const double r = idx.span_stable_m(p, radius);
+    ASSERT_GE(r, 0.0);
+    ASSERT_LE(r, 30.0);  // half a cell at most
+    const std::vector<std::uint32_t> home = candidates(idx, p, radius);
+    for (int k = 0; k < 16; ++k) {
+      const double angle = rng.uniform(0.0, 6.283185307179586);
+      const double reach = k % 2 == 0 ? r : rng.uniform(0.0, r);
+      const Vec2 q{p.x + reach * std::cos(angle),
+                   p.y + reach * std::sin(angle)};
+      EXPECT_EQ(candidates(idx, q, radius), home) << "trial " << trial;
+    }
+    // Just past the nearest grid line along an axis, the span does change.
+    for (Vec2 step : {Vec2{1, 0}, Vec2{-1, 0}, Vec2{0, 1}, Vec2{0, -1}}) {
+      std::vector<CellIndex::CellKey> a, b;
+      idx.covered_cells(p, radius, &a);
+      idx.covered_cells(p + step * (r + 1e-3), radius, &b);
+      if (a != b) ++moved_cells;
+    }
+  }
+  EXPECT_GE(moved_cells, 500);  // the radius is tight along some axis
+}
+
+TEST(CellIndex, SpanStableRadiusIsUnboundedWhenFlat) {
+  const CellIndex idx(0.0);
+  EXPECT_TRUE(std::isinf(idx.span_stable_m({12.0, 34.0}, 130.0)));
 }
 
 }  // namespace

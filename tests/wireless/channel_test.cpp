@@ -234,5 +234,16 @@ TEST(Channel, BacklogCapDropsWhenSwamped) {
   EXPECT_GT(cell.channel.stats().frames_dropped_backlog, 0u);
 }
 
+TEST(Channel, LookupIgnoresRadiosOfOtherChannels) {
+  // Each radio carries its slot in its own channel's mobile table; another
+  // channel with a mobile in the same slot must not mistake it for its own.
+  Cell a;
+  Cell b;
+  EXPECT_EQ(a.channel.associated(&a.radio), &a.wp);
+  EXPECT_EQ(b.channel.associated(&a.radio), nullptr);
+  EXPECT_EQ(a.channel.associated(&b.radio), nullptr);
+  EXPECT_EQ(a.channel.associated(nullptr), nullptr);
+}
+
 }  // namespace
 }  // namespace tracemod::wireless
