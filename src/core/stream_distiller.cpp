@@ -3,7 +3,6 @@
 #include "sim/io/durable.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -15,69 +14,33 @@
 #include <thread>
 #include <variant>
 
+#include "sim/crc32c.hpp"
+#include "sim/io/framed.hpp"
 #include "sim/metric_names.hpp"
 #include "sim/perf/perf.hpp"
 #include "sim/sim_context.hpp"
 #include "sim/task_pool.hpp"
-#include "trace/crc32c.hpp"
 #include "trace/stream_reader.hpp"
 
 namespace tracemod::core {
 
+namespace io = sim::io;
+
 namespace {
 
 // ===========================================================================
-// TMDJ checkpoint journal: magic | version u16 | fingerprint u32, then
-// CRC-framed records (type u8 | len u32 | crc32c u32 | payload; the CRC
-// covers the type byte followed by the payload) -- the same framing the
-// sweep supervisor journal uses.  The reader is tolerant: a corrupt frame
-// is skipped (that window recomputes), a partial tail is dropped.
+// TMDJ checkpoint journal: a journal header, then a plan frame and one frame
+// per finished window, in the framed-record codec's layout
+// (sim/io/framed.hpp, DESIGN.md section 15).  The reader is tolerant: a
+// corrupt frame is skipped (that window recomputes), a partial tail or an
+// implausible length ends the scan.
 // ===========================================================================
 
 constexpr char kJournalMagic[4] = {'T', 'M', 'D', 'J'};
 constexpr std::uint16_t kJournalVersion = 1;
-constexpr std::size_t kJournalHeaderBytes = 4 + 2 + 4;
 constexpr std::uint8_t kFramePlan = 1;
 constexpr std::uint8_t kFrameWindow = 2;
 constexpr std::size_t kMaxFramePayload = 64u * 1024 * 1024;
-
-template <typename T>
-void put(std::string& buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  unsigned char raw[sizeof(T)];
-  std::memcpy(raw, &v, sizeof(T));
-  buf.append(reinterpret_cast<const char*>(raw), sizeof(T));
-}
-
-/// Bounds-checked journal parse cursor.  Returns false on exhaustion
-/// instead of throwing: a short or garbled journal frame is recoverable
-/// state, not an error.
-struct JCursor {
-  const unsigned char* p;
-  const unsigned char* end;
-
-  bool need(std::size_t n) const {
-    return static_cast<std::size_t>(end - p) >= n;
-  }
-  /// Overflow-safe bound for `count` items of `item_bytes` each: a
-  /// fuzzer-controlled count must never trick the reader into a giant
-  /// allocation.
-  bool need_items(std::uint64_t count, std::size_t item_bytes) const {
-    return count <= static_cast<std::size_t>(end - p) / item_bytes;
-  }
-  template <typename T>
-  bool get(T* out) {
-    if (!need(sizeof(T))) return false;
-    std::memcpy(out, p, sizeof(T));
-    p += sizeof(T);
-    return true;
-  }
-};
-
-std::uint32_t frame_checksum(std::uint8_t type, const std::string& payload) {
-  const std::uint32_t seed = trace::crc32c(&type, 1);
-  return trace::crc32c(payload.data(), payload.size(), seed);
-}
 
 // ===========================================================================
 // Plan: everything pass 1 learns about the corpus.
@@ -339,162 +302,148 @@ std::uint32_t journal_fingerprint(const std::string& path,
                                   std::uint64_t file_size,
                                   const StreamDistillConfig& cfg) {
   std::string blob;
-  put<std::uint64_t>(blob, file_size);
+  io::put<std::uint64_t>(blob, file_size);
   // Identity of the container header (magic, version, schema, count).
   std::ifstream in(path, std::ios::binary);
   char head[4096];
   in.read(head, sizeof(head));
   const auto got = static_cast<std::size_t>(std::max<std::streamsize>(
       0, in.gcount()));
-  put<std::uint32_t>(blob, trace::crc32c(head, got));
+  io::put<std::uint32_t>(blob, sim::crc32c(head, got));
   // Everything the plan depends on.  Thread count is deliberately absent:
   // a resume on a different machine must still be byte-identical.
-  put<std::int64_t>(blob, cfg.distill.window.count());
-  put<std::int64_t>(blob, cfg.distill.step.count());
-  double max_loss = cfg.distill.max_loss;
-  put<double>(blob, max_loss);
-  put<std::int64_t>(blob, cfg.span.count());
-  put<std::uint64_t>(blob, cfg.budget.bytes);
-  put<std::uint32_t>(blob, cfg.budget.max_inflight);
-  return trace::crc32c(blob.data(), blob.size());
+  io::put<std::int64_t>(blob, cfg.distill.window.count());
+  io::put<std::int64_t>(blob, cfg.distill.step.count());
+  io::put<double>(blob, cfg.distill.max_loss);
+  io::put<std::int64_t>(blob, cfg.span.count());
+  io::put<std::uint64_t>(blob, cfg.budget.bytes);
+  io::put<std::uint32_t>(blob, cfg.budget.max_inflight);
+  return sim::crc32c(blob.data(), blob.size());
 }
 
 std::string encode_plan(const Plan& plan) {
   std::string p;
-  put<std::uint16_t>(p, plan.trace_version);
-  put<std::uint64_t>(p, plan.header_bytes);
-  put<std::uint64_t>(p, plan.file_size);
+  io::put<std::uint16_t>(p, plan.trace_version);
+  io::put<std::uint64_t>(p, plan.header_bytes);
+  io::put<std::uint64_t>(p, plan.file_size);
   const trace::TraceReadReport& r = plan.report;
-  put<std::uint16_t>(p, r.version);
-  put<std::uint8_t>(p, static_cast<std::uint8_t>(r.mode));
-  put<std::uint64_t>(p, r.records_expected);
-  put<std::uint64_t>(p, r.records_read);
-  put<std::uint64_t>(p, r.records_skipped);
-  put<std::uint64_t>(p, r.records_salvaged);
-  put<std::uint64_t>(p, r.crc_failures);
-  put<std::uint64_t>(p, r.unknown_tags);
-  put<std::uint64_t>(p, r.resync_scans);
-  put<std::uint64_t>(p, r.bytes_scanned);
-  put<std::uint64_t>(p, r.lost_markers_synthesized);
-  put<std::uint8_t>(p, r.truncated ? 1 : 0);
-  put<std::uint8_t>(p, plan.any_records ? 1 : 0);
-  put<std::int64_t>(p, plan.t0);
-  put<std::int64_t>(p, plan.t_end);
-  put<std::uint64_t>(p, plan.echoes_total);
-  put<std::uint64_t>(p, plan.replies_total);
-  put<std::uint64_t>(p, plan.records_streamed);
-  put<std::uint64_t>(p, plan.loss_b.size());
-  for (std::size_t j = 0; j < plan.loss_b.size(); ++j) {
-    put<std::int64_t>(p, plan.loss_b[j]);
-    put<std::int64_t>(p, plan.loss_lo[j]);
-    put<std::int64_t>(p, plan.loss_hi[j]);
+  io::put<std::uint16_t>(p, r.version);
+  io::put<std::uint8_t>(p, static_cast<std::uint8_t>(r.mode));
+  for (const std::uint64_t v :
+       {r.records_expected, r.records_read, r.records_skipped,
+        r.records_salvaged, r.crc_failures, r.unknown_tags, r.resync_scans,
+        r.bytes_scanned, r.lost_markers_synthesized}) {
+    io::put<std::uint64_t>(p, v);
   }
-  put<std::uint64_t>(p, plan.windows.size());
+  io::put<std::uint8_t>(p, r.truncated ? 1 : 0);
+  io::put<std::uint8_t>(p, plan.any_records ? 1 : 0);
+  io::put<std::int64_t>(p, plan.t0);
+  io::put<std::int64_t>(p, plan.t_end);
+  io::put<std::uint64_t>(p, plan.echoes_total);
+  io::put<std::uint64_t>(p, plan.replies_total);
+  io::put<std::uint64_t>(p, plan.records_streamed);
+  io::put<std::uint64_t>(p, plan.loss_b.size());
+  for (std::size_t j = 0; j < plan.loss_b.size(); ++j) {
+    io::put<std::int64_t>(p, plan.loss_b[j]);
+    io::put<std::int64_t>(p, plan.loss_lo[j]);
+    io::put<std::int64_t>(p, plan.loss_hi[j]);
+  }
+  io::put<std::uint64_t>(p, plan.windows.size());
   for (const WindowPlan& w : plan.windows) {
-    put<std::uint64_t>(p, w.begin);
-    put<std::uint64_t>(p, w.end);
-    put<std::uint64_t>(p, w.records);
-    put<std::uint64_t>(p, w.sent);
-    put<std::uint64_t>(p, w.replies);
-    put<std::uint8_t>(p, w.damaged ? 1 : 0);
-    put<std::uint8_t>(p, w.shed ? 1 : 0);
+    for (const std::uint64_t v : {w.begin, w.end, w.records, w.sent,
+                                  w.replies}) {
+      io::put<std::uint64_t>(p, v);
+    }
+    io::put<std::uint8_t>(p, w.damaged ? 1 : 0);
+    io::put<std::uint8_t>(p, w.shed ? 1 : 0);
   }
   return p;
 }
 
-bool decode_plan(const std::string& payload, Plan* plan) {
-  JCursor c{reinterpret_cast<const unsigned char*>(payload.data()),
-            reinterpret_cast<const unsigned char*>(payload.data()) +
-                payload.size()};
-  std::uint8_t mode = 0, truncated = 0, any = 0;
-  std::uint64_t steps = 0, windows = 0;
+bool decode_plan(std::string_view payload, Plan* plan) {
+  io::Cursor c(payload);
   trace::TraceReadReport& r = plan->report;
-  if (!c.get(&plan->trace_version) || !c.get(&plan->header_bytes) ||
-      !c.get(&plan->file_size) || !c.get(&r.version) || !c.get(&mode) ||
-      !c.get(&r.records_expected) || !c.get(&r.records_read) ||
-      !c.get(&r.records_skipped) || !c.get(&r.records_salvaged) ||
-      !c.get(&r.crc_failures) || !c.get(&r.unknown_tags) ||
-      !c.get(&r.resync_scans) || !c.get(&r.bytes_scanned) ||
-      !c.get(&r.lost_markers_synthesized) || !c.get(&truncated) ||
-      !c.get(&any) || !c.get(&plan->t0) || !c.get(&plan->t_end) ||
-      !c.get(&plan->echoes_total) || !c.get(&plan->replies_total) ||
-      !c.get(&plan->records_streamed) || !c.get(&steps)) {
-    return false;
+  plan->trace_version = c.get<std::uint16_t>();
+  plan->header_bytes = c.get<std::uint64_t>();
+  plan->file_size = c.get<std::uint64_t>();
+  r.version = c.get<std::uint16_t>();
+  r.mode = static_cast<trace::ReadMode>(c.get<std::uint8_t>());
+  for (std::uint64_t* v :
+       {&r.records_expected, &r.records_read, &r.records_skipped,
+        &r.records_salvaged, &r.crc_failures, &r.unknown_tags,
+        &r.resync_scans, &r.bytes_scanned, &r.lost_markers_synthesized}) {
+    *v = c.get<std::uint64_t>();
   }
-  r.mode = static_cast<trace::ReadMode>(mode);
-  r.truncated = truncated != 0;
-  plan->any_records = any != 0;
+  r.truncated = c.get<std::uint8_t>() != 0;
+  plan->any_records = c.get<std::uint8_t>() != 0;
+  plan->t0 = c.get<std::int64_t>();
+  plan->t_end = c.get<std::int64_t>();
+  plan->echoes_total = c.get<std::uint64_t>();
+  plan->replies_total = c.get<std::uint64_t>();
+  plan->records_streamed = c.get<std::uint64_t>();
+  const auto steps = c.get<std::uint64_t>();
   if (!c.need_items(steps, 24)) return false;
   plan->loss_b.resize(steps);
   plan->loss_lo.resize(steps);
   plan->loss_hi.resize(steps);
   for (std::uint64_t j = 0; j < steps; ++j) {
-    if (!c.get(&plan->loss_b[j]) || !c.get(&plan->loss_lo[j]) ||
-        !c.get(&plan->loss_hi[j])) {
-      return false;
-    }
+    plan->loss_b[j] = c.get<std::int64_t>();
+    plan->loss_lo[j] = c.get<std::int64_t>();
+    plan->loss_hi[j] = c.get<std::int64_t>();
   }
-  if (!c.get(&windows) || !c.need_items(windows, 42)) return false;
+  const auto windows = c.get<std::uint64_t>();
+  if (!c.need_items(windows, 42)) return false;
   plan->windows.resize(windows);
-  for (std::uint64_t k = 0; k < windows; ++k) {
-    WindowPlan& w = plan->windows[k];
-    std::uint8_t damaged = 0, shed = 0;
-    if (!c.get(&w.begin) || !c.get(&w.end) || !c.get(&w.records) ||
-        !c.get(&w.sent) || !c.get(&w.replies) || !c.get(&damaged) ||
-        !c.get(&shed)) {
-      return false;
+  for (WindowPlan& w : plan->windows) {
+    for (std::uint64_t* v : {&w.begin, &w.end, &w.records, &w.sent,
+                             &w.replies}) {
+      *v = c.get<std::uint64_t>();
     }
-    w.damaged = damaged != 0;
-    w.shed = shed != 0;
+    w.damaged = c.get<std::uint8_t>() != 0;
+    w.shed = c.get<std::uint8_t>() != 0;
   }
-  return true;
+  return c.ok();
 }
 
 std::string encode_window(std::uint64_t index, const WindowData& data) {
   std::string p;
-  put<std::uint64_t>(p, index);
-  put<std::uint64_t>(p, data.n_sent);
+  io::put<std::uint64_t>(p, index);
+  io::put<std::uint64_t>(p, data.n_sent);
   for (std::size_t i = 0; i < data.n_sent; ++i) {
-    put<std::uint16_t>(p, data.sent[i].icmp_seq);
-    put<std::uint32_t>(p, data.sent[i].ip_bytes);
+    io::put<std::uint16_t>(p, data.sent[i].icmp_seq);
+    io::put<std::uint32_t>(p, data.sent[i].ip_bytes);
   }
-  put<std::uint64_t>(p, data.n_reply);
+  io::put<std::uint64_t>(p, data.n_reply);
   for (std::size_t i = 0; i < data.n_reply; ++i) {
-    put<std::int64_t>(p, data.replies[i].at.time_since_epoch().count());
-    put<std::int64_t>(p, data.replies[i].rtt.count());
-    put<std::uint16_t>(p, data.replies[i].icmp_seq);
+    io::put<std::int64_t>(p, data.replies[i].at.time_since_epoch().count());
+    io::put<std::int64_t>(p, data.replies[i].rtt.count());
+    io::put<std::uint16_t>(p, data.replies[i].icmp_seq);
   }
   return p;
 }
 
-bool decode_window(const std::string& payload, std::uint64_t* index,
+bool decode_window(std::string_view payload, std::uint64_t* index,
                    WindowData* data) {
-  JCursor c{reinterpret_cast<const unsigned char*>(payload.data()),
-            reinterpret_cast<const unsigned char*>(payload.data()) +
-                payload.size()};
-  std::uint64_t n_sent = 0, n_reply = 0;
-  if (!c.get(index) || !c.get(&n_sent) || !c.need_items(n_sent, 6)) {
-    return false;
-  }
+  io::Cursor c(payload);
+  *index = c.get<std::uint64_t>();
+  const auto n_sent = c.get<std::uint64_t>();
+  if (!c.need_items(n_sent, 6)) return false;
   data->n_sent = static_cast<std::size_t>(n_sent);
   data->sent = std::make_unique<EchoSent[]>(data->n_sent);
-  for (std::uint64_t i = 0; i < n_sent; ++i) {
-    if (!c.get(&data->sent[i].icmp_seq) || !c.get(&data->sent[i].ip_bytes)) {
-      return false;
-    }
+  for (std::size_t i = 0; i < data->n_sent; ++i) {
+    data->sent[i].icmp_seq = c.get<std::uint16_t>();
+    data->sent[i].ip_bytes = c.get<std::uint32_t>();
   }
-  if (!c.get(&n_reply) || !c.need_items(n_reply, 18)) return false;
+  const auto n_reply = c.get<std::uint64_t>();
+  if (!c.need_items(n_reply, 18)) return false;
   data->n_reply = static_cast<std::size_t>(n_reply);
   data->replies = std::make_unique<EchoReply[]>(data->n_reply);
-  for (std::uint64_t i = 0; i < n_reply; ++i) {
-    std::int64_t at = 0, rtt = 0;
-    if (!c.get(&at) || !c.get(&rtt) || !c.get(&data->replies[i].icmp_seq)) {
-      return false;
-    }
-    data->replies[i].at = sim::TimePoint{sim::Duration{at}};
-    data->replies[i].rtt = sim::Duration{rtt};
+  for (std::size_t i = 0; i < data->n_reply; ++i) {
+    data->replies[i].at = sim::TimePoint{sim::Duration{c.get<std::int64_t>()}};
+    data->replies[i].rtt = sim::Duration{c.get<std::int64_t>()};
+    data->replies[i].icmp_seq = c.get<std::uint16_t>();
   }
-  return true;
+  return c.ok();
 }
 
 /// Append-side journal handle over the durable write plane
@@ -507,15 +456,13 @@ class JournalWriter {
  public:
   void open(const std::string& path, std::uint32_t fingerprint,
             sim::io::FaultPlan* plan) {
-    std::string head;
-    head.append(kJournalMagic, sizeof(kJournalMagic));
-    put<std::uint16_t>(head, kJournalVersion);
-    put<std::uint32_t>(head, fingerprint);
     // Window frames land at task-pool cadence; periodic fdatasync bounds
     // the resumable-progress loss without a sync per window.
     sim::io::AppendJournalWriter::Options options;
     options.plan = plan;
-    const sim::io::IoResult r = writer_.open_fresh(path, head, options);
+    const sim::io::IoResult r = writer_.open_fresh(
+        path, io::journal_header(kJournalMagic, kJournalVersion, fingerprint),
+        options);
     if (!r.ok) note_degraded();
   }
 
@@ -523,10 +470,7 @@ class JournalWriter {
     std::lock_guard<std::mutex> lock(mu_);
     if (!writer_.is_open()) return;
     std::string frame;
-    put<std::uint8_t>(frame, type);
-    put<std::uint32_t>(frame, static_cast<std::uint32_t>(payload.size()));
-    put<std::uint32_t>(frame, frame_checksum(type, payload));
-    frame += payload;
+    io::append_frame(frame, type, payload);
     const sim::io::IoResult r = writer_.append(frame);
     if (!r.ok) note_degraded();
   }
@@ -559,40 +503,33 @@ struct JournalContents {
   std::map<std::uint64_t, WindowData> windows;
 };
 
-JournalContents parse_journal_bytes(const std::string& bytes,
+JournalContents parse_journal_bytes(std::string_view bytes,
                                     const std::uint32_t* fingerprint) {
   JournalContents out;
-  if (bytes.size() < kJournalHeaderBytes) return out;
-  if (std::memcmp(bytes.data(), kJournalMagic, sizeof(kJournalMagic)) != 0) {
+  const auto header = io::read_journal_header(bytes, kJournalMagic);
+  if (!header || header->version != kJournalVersion) return out;
+  if (fingerprint != nullptr && header->fingerprint != *fingerprint) {
     return out;
   }
-  std::uint16_t version = 0;
-  std::uint32_t fp = 0;
-  std::memcpy(&version, bytes.data() + 4, 2);
-  std::memcpy(&fp, bytes.data() + 6, 4);
-  if (version != kJournalVersion) return out;
-  if (fingerprint != nullptr && fp != *fingerprint) return out;
 
-  std::size_t pos = kJournalHeaderBytes;
-  while (bytes.size() - pos >= 9) {
-    const auto type = static_cast<std::uint8_t>(bytes[pos]);
-    std::uint32_t len = 0, crc = 0;
-    std::memcpy(&len, bytes.data() + pos + 1, 4);
-    std::memcpy(&crc, bytes.data() + pos + 5, 4);
-    if (len > kMaxFramePayload || bytes.size() - pos - 9 < len) break;
-    const std::string payload = bytes.substr(pos + 9, len);
-    pos += 9 + len;
-    if (frame_checksum(type, payload) != crc) continue;  // window recomputes
-    if (type == kFramePlan) {
+  for (std::size_t pos = io::kJournalHeaderBytes;;) {
+    const io::ScannedFrame f = io::scan_frame(bytes, pos, kMaxFramePayload);
+    if (f.status == io::FrameScan::kTornTail ||
+        f.status == io::FrameScan::kImplausibleLength) {
+      break;
+    }
+    pos = f.next;
+    if (f.status == io::FrameScan::kCrcMismatch) continue;  // recomputes
+    if (f.type == kFramePlan) {
       Plan plan;
-      if (decode_plan(payload, &plan)) {
+      if (decode_plan(f.payload, &plan)) {
         out.plan = std::move(plan);
         out.have_plan = true;
       }
-    } else if (type == kFrameWindow) {
+    } else if (f.type == kFrameWindow) {
       std::uint64_t index = 0;
       WindowData data;
-      if (decode_window(payload, &index, &data)) {
+      if (decode_window(f.payload, &index, &data)) {
         out.windows[index] = std::move(data);
       }
     }
@@ -679,8 +616,8 @@ bool extract_window(const std::string& path, std::uint16_t version,
 }  // namespace
 
 std::size_t probe_checkpoint_journal(const char* data, std::size_t size) {
-  const std::string bytes(data, size);
-  const JournalContents contents = parse_journal_bytes(bytes, nullptr);
+  const JournalContents contents =
+      parse_journal_bytes(std::string_view(data, size), nullptr);
   return (contents.have_plan ? 1u : 0u) + contents.windows.size();
 }
 

@@ -22,6 +22,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "audit/auditor.hpp"
@@ -266,6 +267,12 @@ struct JournalReadResult {
 /// skip un-journaled work or crash the sweep).
 JournalReadResult read_sweep_journal(const std::string& path,
                                      std::uint32_t fingerprint);
+
+/// The same read over bytes already in memory (a missing file is the one
+/// status it cannot return).  The fuzz surface for TMSJ
+/// (tests/fuzz/fuzz_framed_records.cpp).
+JournalReadResult parse_sweep_journal(std::string_view bytes,
+                                      std::uint32_t fingerprint);
 
 /// Appends CRC-framed records through the durable write plane
 /// (sim/io/durable.hpp); each append is synced so a killed sweep loses at

@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "sim/metric_names.hpp"
+#include "sim/json.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/trace_event.hpp"
 #include "version.hpp"

@@ -33,8 +33,10 @@
 //      a slow disk — it just skips the publish and the next heartbeat
 //      retries.
 //
-// On-disk format TMST v1 (little-endian):
-//   "TMST" | u16 version | u32 payload_len | u32 crc32c(payload) | payload
+// On-disk format TMST v1: a CRC-checked envelope around the payload,
+// written with the framed-record codec's writer and cursor
+// (sim/io/framed.hpp).  Layout and damage policy: DESIGN.md section 15,
+// "Framed records".
 #pragma once
 
 #include <atomic>

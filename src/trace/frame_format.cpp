@@ -1,14 +1,16 @@
 #include "trace/frame_format.hpp"
 
-#include <cstring>
-#include <ostream>
 #include <vector>
-
-#include "trace/crc32c.hpp"
 
 namespace tracemod::trace::wire {
 
 namespace {
+
+using sim::io::begin_frame;
+using sim::io::Cursor;
+using sim::io::end_frame;
+using sim::io::put;
+using sim::io::put_str;
 
 struct SchemaEntry {
   std::uint8_t tag;
@@ -33,174 +35,128 @@ const std::vector<SchemaEntry>& schema() {
   return s;
 }
 
-// --- primitive writers (little-endian) -------------------------------------
-
-template <typename T>
-void put(std::ostream& out, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  unsigned char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  out.write(reinterpret_cast<const char*>(buf), sizeof(T));
+RecordTag tag_of(const TraceRecord& r) {
+  if (std::holds_alternative<PacketRecord>(r)) return RecordTag::kPacket;
+  if (std::holds_alternative<DeviceRecord>(r)) return RecordTag::kDevice;
+  return RecordTag::kLost;
 }
 
-void put_string(std::ostream& out, const std::string& s) {
-  if (s.size() > 0xffff) throw TraceFormatError("string too long");
-  put<std::uint16_t>(out, static_cast<std::uint16_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
+void put_time(std::string& buf, sim::TimePoint t) {
+  put<std::int64_t>(buf, t.time_since_epoch().count());
 }
 
-template <typename T>
-void append(std::string& buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  unsigned char raw[sizeof(T)];
-  std::memcpy(raw, &v, sizeof(T));
-  buf.append(reinterpret_cast<const char*>(raw), sizeof(T));
+sim::TimePoint get_time(Cursor& cur) {
+  return sim::TimePoint{sim::Duration{cur.get<std::int64_t>()}};
 }
 
-void append_time(std::string& buf, sim::TimePoint t) {
-  append<std::int64_t>(buf, t.time_since_epoch().count());
+void encode_payload(std::string& buf, const TraceRecord& r) {
+  if (const auto* p = std::get_if<PacketRecord>(&r)) {
+    put_time(buf, p->at);
+    put<std::uint8_t>(buf, static_cast<std::uint8_t>(p->dir));
+    put<std::uint8_t>(buf, static_cast<std::uint8_t>(p->protocol));
+    put<std::uint32_t>(buf, p->ip_bytes);
+    put<std::uint8_t>(buf, static_cast<std::uint8_t>(p->icmp_kind));
+    put<std::uint16_t>(buf, p->icmp_id);
+    put<std::uint16_t>(buf, p->icmp_seq);
+    put_time(buf, p->echo_origin);
+    put<std::uint16_t>(buf, p->src_port);
+    put<std::uint16_t>(buf, p->dst_port);
+    put<std::uint64_t>(buf, p->tcp_seq);
+    put<std::uint8_t>(buf, p->tcp_flags);
+  } else if (const auto* d = std::get_if<DeviceRecord>(&r)) {
+    put_time(buf, d->at);
+    put<double>(buf, d->signal_level);
+    put<double>(buf, d->signal_quality);
+    put<double>(buf, d->silence_level);
+  } else {
+    const auto& l = std::get<LostRecords>(r);
+    put_time(buf, l.at);
+    put<std::uint32_t>(buf, l.lost_packet_records);
+    put<std::uint32_t>(buf, l.lost_device_records);
+  }
 }
 
 }  // namespace
 
-bool known_tag(std::uint8_t tag) {
-  return tag == static_cast<std::uint8_t>(RecordTag::kPacket) ||
-         tag == static_cast<std::uint8_t>(RecordTag::kDevice) ||
-         tag == static_cast<std::uint8_t>(RecordTag::kLost);
-}
-
-std::uint32_t frame_crc(std::uint8_t tag, const unsigned char* payload,
-                        std::size_t len) {
-  const std::uint32_t tag_crc = crc32c(&tag, 1);
-  return crc32c(payload, len, tag_crc);
-}
-
-bool frame_validates(const unsigned char* data, std::size_t size,
-                     std::size_t pos) {
-  if (size - pos < kFrameHeaderBytes) return false;
-  const std::uint8_t tag = data[pos];
-  std::uint32_t len, crc;
-  std::memcpy(&len, data + pos + 1, sizeof(len));
-  std::memcpy(&crc, data + pos + 5, sizeof(crc));
-  if (len > kMaxRecordPayload) return false;
-  if (size - pos - kFrameHeaderBytes < len) return false;
-  return frame_crc(tag, data + pos + kFrameHeaderBytes, len) == crc;
-}
-
-void encode_payload(std::string& buf, const TraceRecord& r, RecordTag* tag) {
-  if (const auto* p = std::get_if<PacketRecord>(&r)) {
-    *tag = RecordTag::kPacket;
-    append_time(buf, p->at);
-    append<std::uint8_t>(buf, static_cast<std::uint8_t>(p->dir));
-    append<std::uint8_t>(buf, static_cast<std::uint8_t>(p->protocol));
-    append<std::uint32_t>(buf, p->ip_bytes);
-    append<std::uint8_t>(buf, static_cast<std::uint8_t>(p->icmp_kind));
-    append<std::uint16_t>(buf, p->icmp_id);
-    append<std::uint16_t>(buf, p->icmp_seq);
-    append_time(buf, p->echo_origin);
-    append<std::uint16_t>(buf, p->src_port);
-    append<std::uint16_t>(buf, p->dst_port);
-    append<std::uint64_t>(buf, p->tcp_seq);
-    append<std::uint8_t>(buf, p->tcp_flags);
-  } else if (const auto* d = std::get_if<DeviceRecord>(&r)) {
-    *tag = RecordTag::kDevice;
-    append_time(buf, d->at);
-    append<double>(buf, d->signal_level);
-    append<double>(buf, d->signal_quality);
-    append<double>(buf, d->silence_level);
-  } else {
-    const auto& l = std::get<LostRecords>(r);
-    *tag = RecordTag::kLost;
-    append_time(buf, l.at);
-    append<std::uint32_t>(buf, l.lost_packet_records);
-    append<std::uint32_t>(buf, l.lost_device_records);
-  }
-}
-
-TraceRecord decode_payload(RecordTag tag, Cursor& cur) {
+TraceRecord decode_payload(RecordTag tag, Cursor& cur, std::uint64_t base,
+                           std::uint64_t record) {
   switch (tag) {
     case RecordTag::kPacket: {
       PacketRecord p;
-      p.at = cur.get_time();
+      p.at = get_time(cur);
       p.dir = static_cast<PacketDirection>(cur.get<std::uint8_t>());
       p.protocol = static_cast<net::Protocol>(cur.get<std::uint8_t>());
       p.ip_bytes = cur.get<std::uint32_t>();
       p.icmp_kind = static_cast<IcmpKind>(cur.get<std::uint8_t>());
       p.icmp_id = cur.get<std::uint16_t>();
       p.icmp_seq = cur.get<std::uint16_t>();
-      p.echo_origin = cur.get_time();
+      p.echo_origin = get_time(cur);
       p.src_port = cur.get<std::uint16_t>();
       p.dst_port = cur.get<std::uint16_t>();
       p.tcp_seq = cur.get<std::uint64_t>();
       p.tcp_flags = cur.get<std::uint8_t>();
-      return p;
+      if (cur.ok()) return p;
+      break;
     }
     case RecordTag::kDevice: {
       DeviceRecord d;
-      d.at = cur.get_time();
+      d.at = get_time(cur);
       d.signal_level = cur.get<double>();
       d.signal_quality = cur.get<double>();
       d.silence_level = cur.get<double>();
-      return d;
+      if (cur.ok()) return d;
+      break;
     }
     case RecordTag::kLost: {
       LostRecords l;
-      l.at = cur.get_time();
+      l.at = get_time(cur);
       l.lost_packet_records = cur.get<std::uint32_t>();
       l.lost_device_records = cur.get<std::uint32_t>();
-      return l;
+      if (cur.ok()) return l;
+      break;
     }
+    default:
+      // A v1 tag read that already ran out is a truncation, not a tag.
+      if (cur.ok()) {
+        throw TraceFormatError(
+            "unknown record tag " + std::to_string(static_cast<int>(tag)),
+            base + cur.pos(), record);
+      }
   }
-  cur.fail("unknown record tag " +
-           std::to_string(static_cast<int>(tag)));
+  throw TraceFormatError("unexpected end of stream", base + cur.pos(), record);
 }
 
-std::uint64_t write_container_header(std::ostream& out, std::uint16_t version,
-                                     std::uint64_t count) {
+std::string container_header(std::uint16_t version, std::uint64_t count) {
   if (version != kTraceFormatVersionV1 && version != kTraceFormatVersionV2) {
     throw TraceFormatError("unsupported version " + std::to_string(version));
   }
-  std::uint64_t off = sizeof(kMagic);
-  out.write(kMagic, sizeof(kMagic));
+  std::string out(kMagic, sizeof(kMagic));
   put<std::uint16_t>(out, version);
-  off += 2;
 
   // Self-descriptive schema table.
   put<std::uint8_t>(out, static_cast<std::uint8_t>(schema().size()));
-  off += 1;
   for (const SchemaEntry& e : schema()) {
     put<std::uint8_t>(out, e.tag);
-    put_string(out, e.name);
-    off += 1 + 2 + std::strlen(e.name);
+    put_str<std::uint16_t>(out, e.name);
     put<std::uint8_t>(out, static_cast<std::uint8_t>(e.fields.size()));
-    off += 1;
-    for (const char* f : e.fields) {
-      put_string(out, f);
-      off += 2 + std::strlen(f);
-    }
+    for (const char* f : e.fields) put_str<std::uint16_t>(out, f);
   }
 
   put<std::uint64_t>(out, count);
-  return off;
+  return out;
 }
 
-std::string encode_frame(const TraceRecord& r, std::uint16_t version) {
-  std::string payload;
-  RecordTag tag{};
-  encode_payload(payload, r, &tag);
-  std::string frame;
-  const auto tag_byte = static_cast<std::uint8_t>(tag);
-  append<std::uint8_t>(frame, tag_byte);
+void append_record(std::string& out, const TraceRecord& r,
+                   std::uint16_t version) {
+  const auto tag = static_cast<std::uint8_t>(tag_of(r));
   if (version == kTraceFormatVersionV2) {
-    append<std::uint32_t>(frame, static_cast<std::uint32_t>(payload.size()));
-    append<std::uint32_t>(
-        frame,
-        frame_crc(tag_byte,
-                  reinterpret_cast<const unsigned char*>(payload.data()),
-                  payload.size()));
+    const std::size_t start = begin_frame(out, tag);
+    encode_payload(out, r);
+    end_frame(out, start);
+  } else {
+    put<std::uint8_t>(out, tag);
+    encode_payload(out, r);
   }
-  frame += payload;
-  return frame;
 }
 
 }  // namespace tracemod::trace::wire

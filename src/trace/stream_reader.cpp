@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cstring>
-#include <sstream>
+#include <string_view>
 
 #include "sim/metric_names.hpp"
 #include "sim/sim_context.hpp"
 #include "trace/frame_format.hpp"
 
 namespace tracemod::trace {
+
+namespace io = sim::io;
 
 namespace {
 
@@ -18,6 +20,12 @@ constexpr std::size_t kReadChunk = 256 * 1024;
 
 /// Largest on-disk v1 record: packet tag byte + 40 payload bytes.
 constexpr std::size_t kMaxV1RecordBytes = 41;
+
+/// True when a whole frame that checksums starts at bytes[pos].
+bool frame_validates(std::string_view bytes, std::size_t pos) {
+  return io::scan_frame(bytes, pos, wire::kMaxRecordPayload).status ==
+         io::FrameScan::kOk;
+}
 
 }  // namespace
 
@@ -43,62 +51,40 @@ TraceStreamReader::TraceStreamReader(std::istream& in,
 
   // Header: magic | version | schema table | record count.  The header must
   // be intact even for salvage: without it there is no trustworthy record
-  // framing to resynchronize against.
-  ensure(sizeof(wire::kMagic));
-  if (avail() < sizeof(wire::kMagic) ||
-      std::memcmp(buf_.data() + pos_, wire::kMagic,
-                  sizeof(wire::kMagic)) != 0) {
-    throw TraceFormatError("bad magic");
-  }
-  pos_ += sizeof(wire::kMagic);
-
-  const auto get_u8 = [&] {
-    ensure(1);
-    wire::Cursor c{reinterpret_cast<const unsigned char*>(buf_.data()) + pos_,
-                   avail(), 0, static_cast<std::size_t>(abs()), 0};
-    const auto v = c.get<std::uint8_t>();
-    pos_ += c.pos;
-    return v;
-  };
-  const auto get_string = [&] {
-    ensure(2);
-    std::uint16_t n = 0;
-    if (avail() >= 2) std::memcpy(&n, buf_.data() + pos_, 2);
-    ensure(2 + static_cast<std::size_t>(n));
-    wire::Cursor c{reinterpret_cast<const unsigned char*>(buf_.data()) + pos_,
-                   avail(), 0, static_cast<std::size_t>(abs()), 0};
-    std::string s = c.get_string();
-    pos_ += c.pos;
-    return s;
-  };
-
-  {
-    ensure(2);
-    wire::Cursor c{reinterpret_cast<const unsigned char*>(buf_.data()) + pos_,
-                   avail(), 0, static_cast<std::size_t>(abs()), 0};
+  // framing to resynchronize against.  It is parsed in one cursor pass over
+  // the buffered bytes; a header longer than the buffer (the first read is
+  // a whole chunk, so only a hostile schema table) buffers more and parses
+  // again.
+  for (std::size_t want = wire::kMaxFrameBytes;; want *= 2) {
+    ensure(want);
+    io::Cursor c(buf_.data() + pos_, avail());
+    if (c.bytes(sizeof(wire::kMagic)) !=
+        std::string_view(wire::kMagic, sizeof(wire::kMagic))) {
+      throw TraceFormatError("bad magic");
+    }
     report_.version = c.get<std::uint16_t>();
-    pos_ += c.pos;
-  }
-  if (report_.version != kTraceFormatVersionV1 &&
-      report_.version != kTraceFormatVersionV2) {
-    throw TraceFormatError("unsupported version " +
-                           std::to_string(report_.version));
-  }
-
-  const auto n_schemas = get_u8();
-  for (std::uint8_t i = 0; i < n_schemas; ++i) {
-    (void)get_u8();       // tag
-    (void)get_string();   // name
-    const auto n_fields = get_u8();
-    for (std::uint8_t f = 0; f < n_fields; ++f) (void)get_string();
-  }
-
-  {
-    ensure(8);
-    wire::Cursor c{reinterpret_cast<const unsigned char*>(buf_.data()) + pos_,
-                   avail(), 0, static_cast<std::size_t>(abs()), 0};
+    if (c.ok() && report_.version != kTraceFormatVersionV1 &&
+        report_.version != kTraceFormatVersionV2) {
+      throw TraceFormatError("unsupported version " +
+                             std::to_string(report_.version));
+    }
+    const auto n_schemas = c.get<std::uint8_t>();
+    for (std::uint8_t i = 0; i < n_schemas && c.ok(); ++i) {
+      (void)c.get<std::uint8_t>();            // tag
+      (void)c.bytes(c.get<std::uint16_t>());  // name
+      const auto n_fields = c.get<std::uint8_t>();
+      for (std::uint8_t f = 0; f < n_fields; ++f) {
+        (void)c.bytes(c.get<std::uint16_t>());  // field name
+      }
+    }
     report_.records_expected = c.get<std::uint64_t>();
-    pos_ += c.pos;
+    if (c.ok()) {
+      pos_ += c.pos();
+      break;
+    }
+    if (stream_exhausted_) {
+      fail("unexpected end of stream in header", abs() + c.pos());
+    }
   }
   header_bytes_ = abs();
   hold_rel_ = pos_;
@@ -212,9 +198,7 @@ bool TraceStreamReader::resync(std::uint64_t frame_start_abs) {
       report_.truncated = true;
       return false;
     }
-    if (wire::frame_validates(
-            reinterpret_cast<const unsigned char*>(buf_.data()), buf_.size(),
-            pos_)) {
+    if (frame_validates(buf_, pos_)) {
       report_.bytes_scanned += abs() - frame_start_abs;
       return true;
     }
@@ -255,7 +239,10 @@ void TraceStreamReader::next_v2() {
     last_record_index_ = report_.records_read + report_.records_skipped;
     const std::uint64_t frame_start = abs();
 
-    if (avail() < wire::kFrameHeaderBytes) {
+    const io::ScannedFrame f =
+        io::scan_frame(buf_, pos_, wire::kMaxRecordPayload);
+    if (f.status == io::FrameScan::kTornTail &&
+        avail() < io::kFrameHeaderBytes) {
       if (strict()) {
         fail("unexpected end of stream in frame header", abs());
       }
@@ -267,24 +254,20 @@ void TraceStreamReader::next_v2() {
       finish();
       break;
     }
-    const auto* d = reinterpret_cast<const unsigned char*>(buf_.data());
-    const std::uint8_t tag = d[pos_];
-    std::uint32_t len, crc;
-    std::memcpy(&len, d + pos_ + 1, sizeof(len));
-    std::memcpy(&crc, d + pos_ + 5, sizeof(crc));
-    pos_ += wire::kFrameHeaderBytes;
 
     // A length that cannot fit the stream (or is absurd) means the header
     // itself is corrupt: the length cannot be trusted to skip forward, so
     // resynchronize by scanning for the next frame that checksums.  The
     // buffer holds at least kMaxFrameBytes here unless the stream ended,
-    // so avail() agrees with the slurping reader's remaining-byte check.
-    if (len > wire::kMaxRecordPayload || avail() < len) {
+    // so a torn payload agrees with the slurping reader's remaining-byte
+    // check.
+    if (f.status == io::FrameScan::kImplausibleLength ||
+        f.status == io::FrameScan::kTornTail) {
       if (strict()) {
-        if (len > wire::kMaxRecordPayload) {
-          fail("implausible record length " + std::to_string(len), abs());
-        }
-        fail("unexpected end of stream in record payload", abs());
+        fail(f.status == io::FrameScan::kImplausibleLength
+                 ? "implausible record length " + std::to_string(f.length)
+                 : "unexpected end of stream in record payload",
+             frame_start + io::kFrameHeaderBytes);
       }
       queue_damage(0, 1, frame_start);
       damage_seen_ = true;
@@ -296,26 +279,23 @@ void TraceStreamReader::next_v2() {
       continue;
     }
 
-    const std::size_t payload_pos = pos_;
-    pos_ += len;
+    const std::size_t payload_pos = pos_ + io::kFrameHeaderBytes;
+    pos_ = f.next;
 
-    if (wire::frame_crc(tag, d + payload_pos, len) != crc) {
+    if (f.status == io::FrameScan::kCrcMismatch) {
       if (strict()) {
         throw TraceFormatError("record checksum mismatch", frame_start,
                                last_record_index_);
       }
       ++report_.crc_failures;
       ++report_.records_skipped;
-      queue_damage(tag, 1, frame_start);
+      queue_damage(f.type, 1, frame_start);
       damage_seen_ = true;
       // The length field may be part of the damage (a plausible-but-wrong
       // value skips into the middle of a later frame and cascades).  Only
       // trust the skip if it lands on a frame that checksums, or on EOF.
       ensure(wire::kMaxFrameBytes);
-      if (avail() > 0 &&
-          !wire::frame_validates(
-              reinterpret_cast<const unsigned char*>(buf_.data()),
-              buf_.size(), pos_)) {
+      if (avail() > 0 && !frame_validates(buf_, pos_)) {
         if (!resync(frame_start)) {
           finish();
           break;
@@ -323,14 +303,14 @@ void TraceStreamReader::next_v2() {
       }
       continue;
     }
-    if (!wire::known_tag(tag)) {
+    if (!wire::known_tag(f.type)) {
       if (strict()) {
-        throw TraceFormatError("unknown record tag " + std::to_string(tag),
+        throw TraceFormatError("unknown record tag " + std::to_string(f.type),
                                frame_start, last_record_index_);
       }
       ++report_.unknown_tags;
       ++report_.records_skipped;
-      queue_damage(tag, 1, frame_start);
+      queue_damage(f.type, 1, frame_start);
       damage_seen_ = true;
       continue;
     }
@@ -339,17 +319,16 @@ void TraceStreamReader::next_v2() {
     // a payload longer than the fields we know is a newer minor revision
     // (extra fields are ignored), a shorter one is damage the CRC cannot
     // see (it was written that way), which strict mode rejects.
-    wire::Cursor body{d + payload_pos, len, 0,
-                      static_cast<std::size_t>(base_) + payload_pos,
-                      last_record_index_};
+    io::Cursor body(f.payload);
     try {
-      TraceRecord rec =
-          wire::decode_payload(static_cast<wire::RecordTag>(tag), body);
+      TraceRecord rec = wire::decode_payload(
+          static_cast<wire::RecordTag>(f.type), body, base_ + payload_pos,
+          last_record_index_);
       emit_good(std::move(rec), frame_start);
     } catch (const TraceFormatError&) {
       if (strict()) throw;
       ++report_.records_skipped;
-      queue_damage(tag, 1, frame_start);
+      queue_damage(f.type, 1, frame_start);
       damage_seen_ = true;
     }
   }
@@ -369,13 +348,11 @@ void TraceStreamReader::next_v1() {
     }
     last_record_index_ = v1_index_;
     const std::uint64_t frame_start = abs();
-    wire::Cursor cur{reinterpret_cast<const unsigned char*>(buf_.data()) +
-                         pos_,
-                     avail(), 0, static_cast<std::size_t>(abs()), v1_index_};
+    io::Cursor cur(buf_.data() + pos_, avail());
     if (strict()) {
       const auto tag = static_cast<wire::RecordTag>(cur.get<std::uint8_t>());
-      TraceRecord rec = wire::decode_payload(tag, cur);
-      pos_ += cur.pos;
+      TraceRecord rec = wire::decode_payload(tag, cur, abs(), v1_index_);
+      pos_ += cur.pos();
       pending_.push_back({std::move(rec), frame_start});
       ++report_.records_read;
       ++v1_index_;
@@ -386,8 +363,8 @@ void TraceStreamReader::next_v1() {
     // of the header's promised records becomes one LostRecords marker.
     try {
       const auto tag = static_cast<wire::RecordTag>(cur.get<std::uint8_t>());
-      TraceRecord rec = wire::decode_payload(tag, cur);
-      pos_ += cur.pos;
+      TraceRecord rec = wire::decode_payload(tag, cur, abs(), v1_index_);
+      pos_ += cur.pos();
       emit_good(std::move(rec), frame_start);
       ++v1_index_;
     } catch (const TraceFormatError&) {
@@ -414,10 +391,10 @@ TraceStreamWriter::TraceStreamWriter(const std::string& path,
   if (!sink_.open(path, sim::io::FileSink::Mode::kTruncate)) {
     throw std::runtime_error("cannot open for writing: " + path);
   }
-  std::ostringstream header;
-  count_offset_ = wire::write_container_header(header, version, 0);
-  bytes_ = count_offset_ + 8;
-  if (!sink_.write(header.str())) {
+  const std::string header = wire::container_header(version, 0);
+  count_offset_ = header.size() - sizeof(std::uint64_t);
+  bytes_ = header.size();
+  if (!sink_.write(header)) {
     throw std::runtime_error("write failed: " + path);
   }
 }
@@ -432,12 +409,13 @@ TraceStreamWriter::~TraceStreamWriter() {
 }
 
 void TraceStreamWriter::append(const TraceRecord& record) {
-  const std::string frame = wire::encode_frame(record, version_);
-  if (!sink_.write(frame)) {
+  frame_.clear();
+  wire::append_record(frame_, record, version_);
+  if (!sink_.write(frame_)) {
     throw std::runtime_error("write failed: " + path_);
   }
   ++records_;
-  bytes_ += frame.size();
+  bytes_ += frame_.size();
 }
 
 void TraceStreamWriter::finalize() {

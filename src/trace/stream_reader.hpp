@@ -169,6 +169,7 @@ class TraceStreamWriter {
   sim::io::FileSink sink_;
   std::string path_;
   std::uint16_t version_;
+  std::string frame_;  ///< reused encode buffer, one record at a time
   std::uint64_t count_offset_ = 0;
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "sim/io/durable.hpp"
 #include "trace/frame_format.hpp"
@@ -14,13 +13,22 @@ namespace tracemod::trace {
 
 // --- writer -----------------------------------------------------------------
 
+namespace {
+
+std::string encode_trace(const CollectedTrace& trace, std::uint16_t version) {
+  std::string bytes = wire::container_header(version, trace.records.size());
+  for (const TraceRecord& r : trace.records) {
+    wire::append_record(bytes, r, version);
+  }
+  return bytes;
+}
+
+}  // namespace
+
 void write_trace(std::ostream& out, const CollectedTrace& trace,
                  std::uint16_t version) {
-  wire::write_container_header(out, version, trace.records.size());
-  for (const TraceRecord& r : trace.records) {
-    const std::string frame = wire::encode_frame(r, version);
-    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-  }
+  const std::string bytes = encode_trace(trace, version);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 // --- reader -----------------------------------------------------------------
@@ -64,10 +72,7 @@ void save_trace(const std::string& path, const CollectedTrace& trace,
   // Atomic replace (sim/io/durable.hpp): a collected trace is a final
   // artifact, so a crash or full disk mid-save leaves the previous file
   // (or nothing), never a truncated container that replays short.
-  std::ostringstream out;
-  write_trace(out, trace, version);
-  if (!out) throw std::runtime_error("write failed: " + path);
-  const std::string bytes = out.str();
+  const std::string bytes = encode_trace(trace, version);
   const sim::io::IoResult r = sim::io::write_file_atomic(path, bytes);
   if (!r.ok) {
     if (r.error.op == sim::io::IoOp::kOpen) {

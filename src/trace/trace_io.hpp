@@ -9,10 +9,9 @@
 // reader can survive corruption:
 //   magic "TMTR" | format version u16 | schema table | record count u64 |
 //   frames...
-// where each frame is
-//   tag u8 | payload length u32 | crc32c u32 | payload bytes
-// The CRC covers the tag byte followed by the payload, so a flipped tag,
-// a flipped length, and flipped payload bytes are all detected.  The length
+// where each frame is a framed-record codec frame whose type byte is the
+// record tag (sim/io/framed.hpp; the layout and this format's damage
+// policy are in DESIGN.md section 15, "Framed records").  The length
 // prefix lets a reader skip records it cannot interpret (unknown tag, bad
 // CRC); a corrupted length is recovered from by scanning forward for the
 // next frame whose CRC validates.

@@ -171,6 +171,18 @@ TEST(FidelityAuditor, JsonVerdictHasTheGateSchema) {
   EXPECT_FALSE(in_string);
 }
 
+TEST(FidelityAuditor, JsonEscapesControlCharactersInTheLabel) {
+  // Labels go through the shared JSON escaper, so control characters
+  // survive as \n, \t and \u00XX.
+  FidelityReport r;
+  r.label = "run\n1\tb\x01";
+  std::ostringstream out;
+  write_fidelity_json(out, r);
+  EXPECT_NE(out.str().find("\"label\": \"run\\n1\\tb\\u0001\""),
+            std::string::npos)
+      << out.str();
+}
+
 TEST(FidelityAuditor, HumanReportNamesVerdictAndBreaches) {
   const core::ReplayTrace reference = core::ReplayTrace::load(
       std::string(TRACEMOD_REPO_DIR) + "/porter_replay.trace");

@@ -19,7 +19,9 @@
 #include "scenarios/parallel_runner.hpp"
 #include "sim/io/fault_plan.hpp"
 #include "sim/io/file_sink.hpp"
+#include "sim/io/framed.hpp"
 #include "sim/metric_names.hpp"
+#include "sim/perf/alloc_telemetry.hpp"
 #include "sim/sim_context.hpp"
 #include "trace/fault_injector.hpp"
 
@@ -392,6 +394,40 @@ TEST(SweepJournal, BitFlipsNeverYieldDamagedRecords) {
     // that IS returned must be one of the originals, undamaged.
     EXPECT_NE(read.status, JournalStatus::kClean) << "seed " << seed;
     expect_record_prefix(read.records, records);
+  }
+}
+
+TEST(SweepJournal, HostileCountsCannotForceAllocation) {
+  // A checksummed frame that declares 2^20 outcomes (or errors) and then
+  // ends.  The reader must call it corrupt without reserving for the
+  // count: every count is bounded by the payload bytes left.
+  constexpr char kMagic[4] = {'T', 'M', 'S', 'J'};
+  const auto hostile = [&](bool errors) {
+    std::string payload;
+    sim::io::put_str(payload, "");                  // scenario
+    sim::io::put<std::uint8_t>(payload, 0);         // benchmark kind
+    if (errors) {
+      sim::io::put<std::uint32_t>(payload, 0);      // live
+      sim::io::put<std::uint32_t>(payload, 0);      // modulated
+    }
+    sim::io::put<std::uint32_t>(payload, 1u << 20);  // the lie
+    std::string bytes = sim::io::journal_header(kMagic, 1, 7);
+    sim::io::append_frame(bytes, 1 /* cell */, payload);
+    return bytes;
+  };
+  for (const bool errors : {false, true}) {
+    const std::string bytes = hostile(errors);
+    EXPECT_EQ(bytes.size(), errors ? 36u : 28u);
+    const std::string path = tmp("count_bomb.journal");
+    std::ofstream(path, std::ios::binary)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+
+    const sim::perf::AllocTotals before = sim::perf::alloc_totals();
+    const auto read = read_sweep_journal(path, 7);
+    const sim::perf::AllocTotals used = sim::perf::alloc_totals() - before;
+    EXPECT_EQ(read.status, JournalStatus::kCorrupt) << read.message;
+    EXPECT_TRUE(read.records.empty());
+    EXPECT_LT(used.bytes_allocated, 64u * 1024) << "errors=" << errors;
   }
 }
 

@@ -8,7 +8,8 @@
 
 #include "sim/metric_names.hpp"
 #include "sim/sim_context.hpp"
-#include "trace/crc32c.hpp"
+#include "sim/crc32c.hpp"
+#include "sim/io/framed.hpp"
 #include "trace/trace_io.hpp"
 
 namespace tracemod::trace {
@@ -63,18 +64,9 @@ TraceReadResult read_bytes(const std::string& bytes, ReadMode mode,
   return read_trace_ex(in, TraceReadOptions{mode, metrics});
 }
 
-std::uint32_t frame_checksum(std::uint8_t tag, const std::string& payload) {
-  return crc32c(payload.data(), payload.size(), crc32c(&tag, 1));
-}
-
 std::string make_frame(std::uint8_t tag, const std::string& payload) {
   std::string frame;
-  frame.push_back(static_cast<char>(tag));
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  frame.append(reinterpret_cast<const char*>(&len), 4);
-  const std::uint32_t crc = frame_checksum(tag, payload);
-  frame.append(reinterpret_cast<const char*>(&crc), 4);
-  frame += payload;
+  sim::io::append_frame(frame, tag, payload);
   return frame;
 }
 
@@ -125,6 +117,7 @@ TEST(TraceV2, V1AndV2DecodeIdentically) {
 }
 
 TEST(TraceV2, Crc32cKnownAnswer) {
+  using sim::crc32c;
   // RFC 3720 (iSCSI) test vector: 32 bytes of zeros.
   unsigned char zeros[32] = {};
   EXPECT_EQ(crc32c(zeros, sizeof(zeros)), 0x8A9136AAu);
