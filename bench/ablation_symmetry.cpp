@@ -17,6 +17,7 @@
 #include "scenarios/experiment.hpp"
 
 #include "build_guard.hpp"
+#include "cli/flags.hpp"
 
 using namespace tracemod;
 using namespace tracemod::scenarios;
@@ -41,6 +42,9 @@ core::ReplayTrace split_direction(const core::ReplayTrace& in,
 
 int main(int argc, char** argv) {
   tracemod::bench::require_release_build(argc, argv);
+  if (!cli::parse_main(argc, argv, {cli::kAllowDebug}).ok()) {
+    return cli::kExitUsage;
+  }
   bench::heading("Ablation: the symmetry assumption",
                  "Flagstaff (marginal uplink): round-trip vs one-way traces");
 

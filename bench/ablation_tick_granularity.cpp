@@ -10,12 +10,16 @@
 #include "scenarios/experiment.hpp"
 
 #include "build_guard.hpp"
+#include "cli/flags.hpp"
 
 using namespace tracemod;
 using namespace tracemod::scenarios;
 
 int main(int argc, char** argv) {
   tracemod::bench::require_release_build(argc, argv);
+  if (!cli::parse_main(argc, argv, {cli::kAllowDebug}).ok()) {
+    return cli::kExitUsage;
+  }
   bench::heading("Ablation: modulation scheduling granularity",
                  "one Wean replay trace; tick resolution swept");
 

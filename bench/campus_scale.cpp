@@ -7,9 +7,7 @@
 //                     [--out BENCH_campus.json]
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +18,7 @@
 #include "version.hpp"
 
 #include "build_guard.hpp"
+#include "cli/flags.hpp"
 
 using namespace tracemod;
 
@@ -29,20 +28,6 @@ struct Point {
   std::size_t hosts = 0;
   scenarios::CampusResult result;
 };
-
-std::vector<std::size_t> parse_sizes(const std::string& csv) {
-  std::vector<std::size_t> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string tok = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!tok.empty()) out.push_back(std::strtoull(tok.c_str(), nullptr, 10));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
 
 /// Least-squares slope of log(wall) against log(hosts): the empirical
 /// scaling exponent.  Quadratic contention would push this toward 2;
@@ -92,33 +77,33 @@ bool write_json(const std::string& path, const std::vector<Point>& pts,
 
 int main(int argc, char** argv) {
   tracemod::bench::require_release_build(argc, argv);
+  cli::Args args = cli::parse_main(argc, argv,
+                                   {cli::kAllowDebug,
+                                    {"--sizes", cli::Flag::kValue, "N,..."},
+                                    {"--seconds", cli::Flag::kValue, "S"},
+                                    {"--threads", cli::Flag::kValue, "T"},
+                                    {"--out", cli::Flag::kValue, "FILE"}});
   std::vector<std::size_t> sizes = {100, 1000, 10000};
   double seconds = 30.0;
   unsigned threads = 0;
   std::string out_path = "BENCH_campus.json";
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(1);
+  std::string list;
+  if (args.str("--sizes", &list)) {
+    sizes.clear();
+    for (const std::string& tok : cli::split(list, ',')) {
+      std::size_t n = 0;
+      if (!cli::parse_integer(tok, std::size_t{1},
+                              std::numeric_limits<std::size_t>::max(), &n)) {
+        args.fail("--sizes needs host counts >= 1, got '" + tok + "'");
+        break;
       }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--sizes") == 0) {
-      sizes = parse_sizes(next("--sizes"));
-    } else if (std::strcmp(argv[i], "--seconds") == 0) {
-      seconds = std::atof(next("--seconds"));
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = static_cast<unsigned>(std::atoi(next("--threads")));
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = next("--out");
-    } else if (std::strcmp(argv[i], "--allow-debug") == 0) {
-      // Consumed by require_release_build() above.
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 1;
+      sizes.push_back(n);
     }
   }
+  args.number("--seconds", &seconds);
+  args.threads("--threads", &threads);
+  args.str("--out", &out_path);
+  if (!args.ok()) return cli::kExitUsage;
 
   bench::heading("Campus scaling: events/sec vs hosts",
                  "sharded medium, " + std::to_string(seconds) +

@@ -12,10 +12,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -26,6 +23,7 @@
 #include "version.hpp"
 
 #include "build_guard.hpp"
+#include "cli/flags.hpp"
 
 using namespace tracemod;
 
@@ -57,39 +55,27 @@ const char* status_name(core::DistillStatus s) {
 
 int main(int argc, char** argv) {
   tracemod::bench::require_release_build(argc, argv);
+  cli::Args args =
+      cli::parse_main(argc, argv,
+                      {cli::kAllowDebug,
+                       {"--mb", cli::Flag::kValue, "N"},
+                       {"--seconds", cli::Flag::kValue, "S"},
+                       {"--threads", cli::Flag::kValue, "T"},
+                       {"--rss-cap-mb", cli::Flag::kValue, "N"},
+                       {"--out", cli::Flag::kValue, "FILE"},
+                       {"--keep"}});
   double mb = 1024.0;
   double seconds = 7200.0;
   unsigned threads = 0;
   double rss_cap_mb = 512.0;
   std::string out_path = "BENCH_corpus.json";
-  bool keep = false;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(1);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--mb") == 0) {
-      mb = std::atof(next("--mb"));
-    } else if (std::strcmp(argv[i], "--seconds") == 0) {
-      seconds = std::atof(next("--seconds"));
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = static_cast<unsigned>(std::atoi(next("--threads")));
-    } else if (std::strcmp(argv[i], "--rss-cap-mb") == 0) {
-      rss_cap_mb = std::atof(next("--rss-cap-mb"));
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = next("--out");
-    } else if (std::strcmp(argv[i], "--keep") == 0) {
-      keep = true;
-    } else if (std::strcmp(argv[i], "--allow-debug") == 0) {
-      // Consumed by require_release_build() above.
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
+  args.number("--mb", &mb);
+  args.number("--seconds", &seconds);
+  args.threads("--threads", &threads);
+  args.number("--rss-cap-mb", &rss_cap_mb);
+  args.str("--out", &out_path);
+  if (!args.ok()) return cli::kExitUsage;
+  const bool keep = args.has("--keep");
 
   bench::heading("Corpus distillation: wall time and RSS at production volume",
                  "streaming two-pass distiller, " + std::to_string(mb) +

@@ -18,6 +18,7 @@
 #include "report.hpp"
 
 #include "build_guard.hpp"
+#include "cli/flags.hpp"
 
 using namespace tracemod;
 
@@ -70,6 +71,9 @@ void sweep(const char* label, const core::ReplayTrace& trace,
 
 int main(int argc, char** argv) {
   tracemod::bench::require_release_build(argc, argv);
+  if (!cli::parse_main(argc, argv, {cli::kAllowDebug}).ok()) {
+    return cli::kExitUsage;
+  }
   bench::heading(
       "Figure 1: Effect of Delay Compensation",
       "FTP elapsed times over a synthetic trace; a perfect realization of "

@@ -13,11 +13,15 @@
 #include "scenario_figure.hpp"
 
 #include "build_guard.hpp"
+#include "cli/flags.hpp"
 
 using namespace tracemod;
 
 int main(int argc, char** argv) {
   tracemod::bench::require_release_build(argc, argv);
+  if (!cli::parse_main(argc, argv, {cli::kAllowDebug}).ok()) {
+    return cli::kExitUsage;
+  }
   bench::heading("Figure 2: Porter Traces",
                  "ranges across 4 trials per checkpoint interval");
   const auto scenario = scenarios::porter();

@@ -12,11 +12,15 @@
 #include "scenario_figure.hpp"
 
 #include "build_guard.hpp"
+#include "cli/flags.hpp"
 
 using namespace tracemod;
 
 int main(int argc, char** argv) {
   tracemod::bench::require_release_build(argc, argv);
+  if (!cli::parse_main(argc, argv, {cli::kAllowDebug}).ok()) {
+    return cli::kExitUsage;
+  }
   bench::heading("Figure 4: Wean Traces",
                  "ranges across 4 trials per checkpoint interval\n"
                  "(z3..z4 = waiting for the elevator, z4..z5 = riding it)");

@@ -10,11 +10,15 @@
 #include "scenario_figure.hpp"
 
 #include "build_guard.hpp"
+#include "cli/flags.hpp"
 
 using namespace tracemod;
 
 int main(int argc, char** argv) {
   tracemod::bench::require_release_build(argc, argv);
+  if (!cli::parse_main(argc, argv, {cli::kAllowDebug}).ok()) {
+    return cli::kExitUsage;
+  }
   bench::heading("Figure 5: Chatterbox Traces",
                  "distributions across 4 trials (stationary host, "
                  "5 SynRGen interferers)");

@@ -5,11 +5,9 @@
 // and replayed for four modulated trials, plus the bare-Ethernet row.
 // The paper's accuracy criterion: the difference between real and
 // modulated means is within the sum of their standard deviations.
-#include "audit_option.hpp"
+#include "cli/run_options.hpp"
 #include "report.hpp"
 #include "scenarios/parallel_runner.hpp"
-#include "status_option.hpp"
-#include "telemetry_option.hpp"
 
 #include "build_guard.hpp"
 
@@ -33,25 +31,29 @@ constexpr double kPaperEthernetSd = 3.07;
 
 int main(int argc, char** argv) {
   tracemod::bench::require_release_build(argc, argv);
+  const cli::Args args =
+      cli::parse_main(argc, argv,
+                      {cli::kAllowDebug, cli::kAuditFlag, cli::kTelemetryFlag,
+                       cli::kStatusFlag});
+  if (!args.ok()) return cli::kExitUsage;
+  ExperimentConfig cfg;
+  cli::RunOptions run(args, "fig6-web", cfg);
+  if (!run.armed()) return cli::kExitIo;
   bench::heading("Figure 6: Elapsed Times for World Wide Web Benchmark",
                  "mean (stddev) seconds over 4 trials");
-  ExperimentConfig cfg;
-  bench::TelemetryOption telemetry(argc, argv, cfg);
-  bench::AuditOption audits(argc, argv, cfg);
-  bench::StatusOption status(argc, argv, cfg, "fig6-web");
-  status.set_units("scenarios", static_cast<double>(all_scenarios().size() + 1));
+  run.set_units("scenarios", static_cast<double>(all_scenarios().size() + 1));
   cfg.compensation_vb = measure_compensation_vb();
   ParallelRunner runner;
   bench::rowf("%-11s | %18s %18s | %18s %18s | %s", "scenario", "real(s)",
               "modulated(s)", "paper real", "paper mod", "check");
 
   for (const Scenario& s : all_scenarios()) {
-    status.phase(s.name);
+    run.phase(s.name);
     const auto c = runner.experiment(s, BenchmarkKind::kWeb, cfg);
-    status.step();
-    telemetry.add(c.live, s.name + "/live");
-    telemetry.add(c.modulated, s.name + "/mod");
-    audits.add(c.audits, s.name);
+    run.step();
+    run.add_telemetry(c.live, s.name + "/live");
+    run.add_telemetry(c.modulated, s.name + "/mod");
+    run.add_audits(c.audits, s.name);
     const Summary r = summarize_elapsed(c.live);
     const Summary m = summarize_elapsed(c.modulated);
     const PaperRow* p = nullptr;
@@ -63,19 +65,15 @@ int main(int argc, char** argv) {
                 p->real_mean, p->real_sd, p->mod_mean, p->mod_sd,
                 check_label(r, m).c_str());
   }
-  status.phase("ethernet");
+  run.phase("ethernet");
   const auto eth_trials = runner.ethernet_trials(BenchmarkKind::kWeb, cfg);
-  status.step();
-  telemetry.add(eth_trials, "ethernet");
+  run.step();
+  run.add_telemetry(eth_trials, "ethernet");
   const Summary eth = summarize_elapsed(eth_trials);
   bench::rowf("%-11s | %18s %18s | %9.2f (%5.2f) %18s |", "Ethernet",
               cell(eth).c_str(), "-", kPaperEthernet, kPaperEthernetSd, "-");
   bench::rowf(
       "\nExpected shape: all four scenarios within error; every wireless\n"
       "scenario slower than Ethernet; Chatterbox the most variable.");
-  const int audit_rc = audits.finish();
-  const int telemetry_rc = telemetry.finish();
-  const int rc = audit_rc != 0 ? audit_rc : telemetry_rc;
-  status.finish(rc);
-  return rc;
+  return run.finish(run.write_artifacts());
 }

@@ -5,11 +5,9 @@
 // by unsynchronized clocks: real WaveLAN performance is asymmetric (send
 // slower than receive on marginal uplinks), while modulated send and
 // receive land near the mean of the two real directions.
-#include "audit_option.hpp"
+#include "cli/run_options.hpp"
 #include "report.hpp"
 #include "scenarios/parallel_runner.hpp"
-#include "status_option.hpp"
-#include "telemetry_option.hpp"
 
 #include "build_guard.hpp"
 
@@ -32,24 +30,28 @@ constexpr PaperRow kPaper[] = {
 
 int main(int argc, char** argv) {
   tracemod::bench::require_release_build(argc, argv);
+  const cli::Args args =
+      cli::parse_main(argc, argv,
+                      {cli::kAllowDebug, cli::kAuditFlag, cli::kTelemetryFlag,
+                       cli::kStatusFlag});
+  if (!args.ok()) return cli::kExitUsage;
+  ExperimentConfig cfg;
+  cli::RunOptions run(args, "fig7-ftp", cfg);
+  if (!run.armed()) return cli::kExitIo;
   bench::heading("Figure 7: Elapsed Times for FTP Benchmark",
                  "10 MB disk-to-disk; mean (stddev) seconds over 4 trials");
-  ExperimentConfig cfg;
-  bench::TelemetryOption telemetry(argc, argv, cfg);
-  bench::AuditOption audits(argc, argv, cfg);
-  bench::StatusOption status(argc, argv, cfg, "fig7-ftp");
-  status.set_units("scenarios", static_cast<double>(all_scenarios().size() + 1));
+  run.set_units("scenarios", static_cast<double>(all_scenarios().size() + 1));
   cfg.compensation_vb = measure_compensation_vb();
   ParallelRunner runner;
   bench::rowf("%-11s %-5s | %16s %16s | %16s %16s | %s", "scenario", "dir",
               "real(s)", "modulated(s)", "paper real", "paper mod", "check");
 
   for (const Scenario& s : all_scenarios()) {
-    status.phase(s.name);
+    run.phase(s.name);
     const auto traces = runner.replay_traces(s, cfg);
     // Traces are shared by both FTP directions; audit each trace once.
-    if (audits.enabled()) {
-      audits.add(runner.trace_audits(traces, cfg), s.name);
+    if (run.auditing()) {
+      run.add_audits(runner.trace_audits(traces, cfg), s.name);
     }
     const PaperRow* p = nullptr;
     for (const auto& row : kPaper) {
@@ -61,8 +63,8 @@ int main(int argc, char** argv) {
       const std::string dir = send ? "send" : "recv";
       const auto live = runner.live_trials(s, kind, cfg);
       const auto modulated = runner.modulated_trials(traces, kind, cfg);
-      telemetry.add(live, s.name + "/" + dir + "/live");
-      telemetry.add(modulated, s.name + "/" + dir + "/mod");
+      run.add_telemetry(live, s.name + "/" + dir + "/live");
+      run.add_telemetry(modulated, s.name + "/" + dir + "/mod");
       const Summary r = summarize_elapsed(live);
       const Summary m = summarize_elapsed(modulated);
       bench::rowf("%-11s %-5s | %16s %16s | %7.2f (%6.2f) %7.2f (%6.2f) | %s",
@@ -73,28 +75,24 @@ int main(int argc, char** argv) {
                   send ? p->msend_sd : p->mrecv_sd,
                   check_label(r, m).c_str());
     }
-    status.step();
+    run.step();
   }
-  status.phase("ethernet");
+  run.phase("ethernet");
   for (const bool send : {true, false}) {
     const BenchmarkKind kind =
         send ? BenchmarkKind::kFtpSend : BenchmarkKind::kFtpRecv;
     const auto eth_trials = runner.ethernet_trials(kind, cfg);
-    telemetry.add(eth_trials,
-                  std::string("ethernet/") + (send ? "send" : "recv"));
+    run.add_telemetry(eth_trials,
+                      std::string("ethernet/") + (send ? "send" : "recv"));
     const Summary eth = summarize_elapsed(eth_trials);
     bench::rowf("%-11s %-5s | %16s %16s | %7.2f (%6.2f) %16s |", "Ethernet",
                 send ? "send" : "recv", cell(eth).c_str(), "-",
                 send ? 20.50 : 18.83, send ? 0.08 : 0.17, "-");
   }
-  status.step();
+  run.step();
   bench::rowf(
       "\nExpected shape: real send > real recv (asymmetric WaveLAN);\n"
       "modulated send ~ modulated recv, both near the mean of the real\n"
       "directions (the symmetry assumption, Section 5.3); Ethernet ~ 20 s.");
-  const int audit_rc = audits.finish();
-  const int telemetry_rc = telemetry.finish();
-  const int rc = audit_rc != 0 ? audit_rc : telemetry_rc;
-  status.finish(rc);
-  return rc;
+  return run.finish(run.write_artifacts());
 }

@@ -7,11 +7,9 @@
 // 10 ms scheduling tick and are sent immediately (Section 5.4).
 #include <vector>
 
-#include "audit_option.hpp"
+#include "cli/run_options.hpp"
 #include "report.hpp"
 #include "scenarios/parallel_runner.hpp"
-#include "status_option.hpp"
-#include "telemetry_option.hpp"
 
 #include "build_guard.hpp"
 
@@ -61,13 +59,17 @@ constexpr PaperTotals kPaper[] = {
 
 int main(int argc, char** argv) {
   tracemod::bench::require_release_build(argc, argv);
+  const cli::Args args =
+      cli::parse_main(argc, argv,
+                      {cli::kAllowDebug, cli::kAuditFlag, cli::kTelemetryFlag,
+                       cli::kStatusFlag});
+  if (!args.ok()) return cli::kExitUsage;
+  ExperimentConfig cfg;
+  cli::RunOptions run(args, "fig8-andrew", cfg);
+  if (!run.armed()) return cli::kExitIo;
   bench::heading("Figure 8: Elapsed Times for Andrew Benchmark Phases",
                  "mean (stddev) seconds over 4 trials; NFS over UDP");
-  ExperimentConfig cfg;
-  bench::TelemetryOption telemetry(argc, argv, cfg);
-  bench::AuditOption audits(argc, argv, cfg);
-  bench::StatusOption status(argc, argv, cfg, "fig8-andrew");
-  status.set_units("scenarios", static_cast<double>(all_scenarios().size() + 1));
+  run.set_units("scenarios", static_cast<double>(all_scenarios().size() + 1));
   cfg.compensation_vb = measure_compensation_vb();
   ParallelRunner runner;
   bench::rowf("%-11s %-5s %13s %15s %15s %15s %16s %16s", "scenario", "",
@@ -75,12 +77,12 @@ int main(int argc, char** argv) {
               "Total(s)");
 
   for (const Scenario& s : all_scenarios()) {
-    status.phase(s.name);
+    run.phase(s.name);
     const auto c = runner.experiment(s, BenchmarkKind::kAndrew, cfg);
-    status.step();
-    telemetry.add(c.live, s.name + "/live");
-    telemetry.add(c.modulated, s.name + "/mod");
-    audits.add(c.audits, s.name);
+    run.step();
+    run.add_telemetry(c.live, s.name + "/live");
+    run.add_telemetry(c.modulated, s.name + "/mod");
+    run.add_audits(c.audits, s.name);
     const PhaseSummary rp = summarize_phases(c.live);
     const PhaseSummary mp = summarize_phases(c.modulated);
     print_row(s.name.c_str(), "Real", rp);
@@ -98,10 +100,10 @@ int main(int argc, char** argv) {
                     ? "yes"
                     : "no");
   }
-  status.phase("ethernet");
+  run.phase("ethernet");
   const auto eth_trials = runner.ethernet_trials(BenchmarkKind::kAndrew, cfg);
-  status.step();
-  telemetry.add(eth_trials, "ethernet");
+  run.step();
+  run.add_telemetry(eth_trials, "ethernet");
   const PhaseSummary eth = summarize_phases(eth_trials);
   print_row("Ethernet", "Real", eth);
   bench::rowf("%-11s paper Ethernet: 2.25 (0.50)  12.50 (0.58)  7.75 (0.50)"
@@ -111,9 +113,5 @@ int main(int argc, char** argv) {
       "\nExpected shape: Wean/Porter/Chatterbox totals within error;\n"
       "Flagstaff diverges (modulated < real) because short NFS messages\n"
       "fall below the 10 ms scheduling threshold (Section 5.4).");
-  const int audit_rc = audits.finish();
-  const int telemetry_rc = telemetry.finish();
-  const int rc = audit_rc != 0 ? audit_rc : telemetry_rc;
-  status.finish(rc);
-  return rc;
+  return run.finish(run.write_artifacts());
 }

@@ -29,7 +29,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -47,6 +46,7 @@
 #include "version.hpp"
 
 #include "build_guard.hpp"
+#include "cli/flags.hpp"
 
 using namespace tracemod;
 
@@ -257,46 +257,34 @@ bool baseline_field(const std::string& text, const std::string& workload,
 
 int main(int argc, char** argv) {
   const bool official = tracemod::bench::require_release_build(argc, argv);
+  cli::Args args =
+      cli::parse_main(argc, argv,
+                      {cli::kAllowDebug,
+                       {"--baseline", cli::Flag::kValue, "FILE"},
+                       {"--out", cli::Flag::kValue, "FILE"},
+                       {"--update"},
+                       {"--repeat", cli::Flag::kValue, "K"},
+                       {"--drill-slowdown", cli::Flag::kValue, "X"},
+                       {"--min-wall-ratio", cli::Flag::kValue, "R"},
+                       {"--max-alloc-ratio", cli::Flag::kValue, "R"}});
   std::string baseline_path = "BENCH_perf.json";
   std::string out_path;
-  bool update = false;
   int repeat = 3;
   double drill = 1.0;
   double min_wall_ratio = 0.25;
   double max_alloc_ratio = 1.5;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(1);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--baseline") == 0) {
-      baseline_path = next("--baseline");
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = next("--out");
-    } else if (std::strcmp(argv[i], "--update") == 0) {
-      update = true;
-    } else if (std::strcmp(argv[i], "--repeat") == 0) {
-      repeat = std::max(1, std::atoi(next("--repeat")));
-    } else if (std::strcmp(argv[i], "--drill-slowdown") == 0) {
-      drill = std::atof(next("--drill-slowdown"));
-    } else if (std::strcmp(argv[i], "--min-wall-ratio") == 0) {
-      min_wall_ratio = std::atof(next("--min-wall-ratio"));
-    } else if (std::strcmp(argv[i], "--max-alloc-ratio") == 0) {
-      max_alloc_ratio = std::atof(next("--max-alloc-ratio"));
-    } else if (std::strcmp(argv[i], "--allow-debug") == 0) {
-      // Consumed by require_release_build() above.
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
+  args.str("--baseline", &baseline_path);
+  args.str("--out", &out_path);
+  args.integer("--repeat", &repeat, 1);
+  args.number("--drill-slowdown", &drill);
+  args.number("--min-wall-ratio", &min_wall_ratio);
+  args.number("--max-alloc-ratio", &max_alloc_ratio);
+  if (!args.ok()) return cli::kExitUsage;
   if (drill <= 0.0) {
     std::fprintf(stderr, "--drill-slowdown must be > 0\n");
-    return 1;
+    return cli::kExitUsage;
   }
+  const bool update = args.has("--update");
 
   bench::heading("Perf gate: throughput / real-time ratio / allocs vs baseline",
                  std::string("best of ") + std::to_string(repeat) +

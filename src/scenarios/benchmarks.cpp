@@ -18,6 +18,15 @@ const char* to_string(BenchmarkKind kind) {
   return "?";
 }
 
+std::optional<BenchmarkKind> parse_benchmark_kind(std::string_view name) {
+  for (const BenchmarkKind k : {BenchmarkKind::kWeb, BenchmarkKind::kFtpSend,
+                                BenchmarkKind::kFtpRecv,
+                                BenchmarkKind::kAndrew}) {
+    if (name == to_string(k)) return k;
+  }
+  return std::nullopt;
+}
+
 const char* to_string(RunStatus status) {
   switch (status) {
     case RunStatus::kCompleted: return "completed";

@@ -8,6 +8,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string_view>
 
 #include "apps/andrew.hpp"
 #include "net/ip_address.hpp"
@@ -21,6 +23,8 @@ namespace tracemod::scenarios {
 enum class BenchmarkKind { kWeb, kFtpSend, kFtpRecv, kAndrew };
 
 const char* to_string(BenchmarkKind kind);
+/// The inverse of to_string; nullopt for an unknown name.
+std::optional<BenchmarkKind> parse_benchmark_kind(std::string_view name);
 
 struct BenchmarkOutcome {
   bool ok = false;

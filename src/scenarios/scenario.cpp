@@ -1,5 +1,8 @@
 #include "scenarios/scenario.hpp"
 
+#include <algorithm>
+#include <cctype>
+
 namespace tracemod::scenarios {
 
 using wireless::MobilityModel;
@@ -131,6 +134,21 @@ Scenario chatterbox() {
 
 std::vector<Scenario> all_scenarios() {
   return {porter(), flagstaff(), wean(), chatterbox()};
+}
+
+const Scenario* find_scenario(const std::vector<Scenario>& list,
+                              std::string_view name) {
+  for (const Scenario& s : list) {
+    if (s.name.size() == name.size() &&
+        std::equal(s.name.begin(), s.name.end(), name.begin(),
+                   [](char a, char b) {
+                     return std::tolower(static_cast<unsigned char>(a)) ==
+                            std::tolower(static_cast<unsigned char>(b));
+                   })) {
+      return &s;
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace tracemod::scenarios

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "wireless/channel.hpp"
@@ -47,5 +48,10 @@ Scenario chatterbox();
 
 /// All four, in the paper's order.
 std::vector<Scenario> all_scenarios();
+
+/// The scenario in `list` whose name matches `name` ignoring case, or
+/// null ("porter" finds "Porter").
+const Scenario* find_scenario(const std::vector<Scenario>& list,
+                              std::string_view name);
 
 }  // namespace tracemod::scenarios

@@ -1,6 +1,7 @@
 // Byte pins for the library JSON writers: the sweep result, the fidelity
-// verdict, the perf report and the status document.  Each writer is fed
-// fixed in-memory values, so a pin moves only when the emitted bytes do.
+// verdict and trajectory, the perf report and the status document.  Each
+// writer is fed fixed in-memory values, so a pin moves only when the
+// emitted bytes do.
 // The tool version is masked before hashing (a version bump is not a
 // layout change); everything else, down to whitespace and number
 // formatting, is pinned as a size and an FNV-1a 64 digest, or literally
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "audit/auditor.hpp"
+#include "cli/run_options.hpp"
 #include "scenarios/experiment.hpp"
 #include "scenarios/supervisor.hpp"
 #include "sim/perf/report.hpp"
@@ -143,6 +145,26 @@ TEST(JsonPins, FidelityJson) {
   const std::string bytes = mask_version(out.str());
   EXPECT_EQ(bytes.size(), 1198u);
   EXPECT_EQ(fnv1a64(bytes), "2d010aee24f78272");
+}
+
+// --- tracemod-fidelity-trajectory-v1 ----------------------------------------
+
+TEST(JsonPins, FidelityTrajectoryJson) {
+  audit::FidelityReport second = sample_report();
+  second.label = "Porter/trace1";
+  second.verdict = audit::Verdict::kPass;
+  second.breaches.clear();
+  std::ostringstream out;
+  cli::write_fidelity_trajectory(out, {sample_report(), second});
+  const std::string bytes = mask_version(out.str());
+  EXPECT_EQ(bytes.size(), 2440u);
+  EXPECT_EQ(fnv1a64(bytes), "3805b81ed1e82f10");
+
+  std::ostringstream empty;
+  cli::write_fidelity_trajectory(empty, {});
+  EXPECT_EQ(mask_version(empty.str()),
+            "{\n\"schema\": \"tracemod-fidelity-trajectory-v1\",\n"
+            "\"tool_version\": \"X.Y.Z\",\n\"reports\": [\n]\n}\n");
 }
 
 // --- tracemod-perf-v1 -------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "scenarios/benchmarks.hpp"
+
 namespace tracemod::scenarios {
 namespace {
 
@@ -12,6 +14,27 @@ TEST(Scenarios, FourScenariosInPaperOrder) {
   EXPECT_EQ(all[1].name, "Flagstaff");
   EXPECT_EQ(all[2].name, "Wean");
   EXPECT_EQ(all[3].name, "Chatterbox");
+}
+
+TEST(Scenarios, FindScenarioIgnoresCase) {
+  const auto all = all_scenarios();
+  ASSERT_NE(find_scenario(all, "porter"), nullptr);
+  EXPECT_EQ(find_scenario(all, "porter")->name, "Porter");
+  EXPECT_EQ(find_scenario(all, "WEAN")->name, "Wean");
+  EXPECT_EQ(find_scenario(all, "atlantis"), nullptr);
+  EXPECT_EQ(find_scenario(all, "porte"), nullptr);
+  EXPECT_EQ(find_scenario(all, ""), nullptr);
+}
+
+TEST(Scenarios, BenchmarkKindNamesRoundTrip) {
+  for (const BenchmarkKind k : {BenchmarkKind::kWeb, BenchmarkKind::kFtpSend,
+                                BenchmarkKind::kFtpRecv,
+                                BenchmarkKind::kAndrew}) {
+    EXPECT_EQ(parse_benchmark_kind(to_string(k)), k);
+  }
+  EXPECT_FALSE(parse_benchmark_kind("ftp"));
+  EXPECT_FALSE(parse_benchmark_kind("Web"));
+  EXPECT_FALSE(parse_benchmark_kind(""));
 }
 
 TEST(Scenarios, CheckpointLabelsMatchThePaper) {

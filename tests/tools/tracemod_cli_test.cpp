@@ -1,7 +1,7 @@
-// The tracemod exit-code and flag contract (tools/tracemod_cli.hpp):
-// usage errors, I/O errors, salvage, and fidelity breaches each map to a
-// distinct code, and every malformed invocation is rejected before any
-// side effect.
+// The tracemod and sweep exit-code and flag contract
+// (tools/tracemod_cli.hpp): usage errors, I/O errors, salvage, and
+// fidelity breaches each map to a distinct code, and every malformed
+// invocation is rejected before any side effect.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -26,7 +26,7 @@ TEST(TracemodCli, ExitCodesArePinnedAndDistinct) {
   // The exit-code contract is external API (CI and scripts match on the
   // numbers; README.md carries the full 0-6 table): never renumber.  5 is
   // the supervised sweep's completed-with-degraded-cells code
-  // (tools/sweep.cpp); 6 is reserved by the benchmark build guard and
+  // (tools/sweep_main.cpp); 6 is reserved by the benchmark build guard and
   // never returned by tracemod itself.
   EXPECT_EQ(kExitOk, 0);
   EXPECT_EQ(kExitUsage, 1);
@@ -272,6 +272,80 @@ TEST(TracemodCli, AuditThresholdFlagsAreHonored) {
   EXPECT_EQ(run({"audit", path, "--baseline-seconds", "10", "--max-latency",
                  "0.0001"}),
             kExitAudit);
+}
+
+TEST(TracemodCli, OutOfRangeThreadCountsAreUsageErrors) {
+  // Cast unchecked, each would ask a TaskPool for about 2^32 (or 1e12)
+  // threads; the cap rejects them before anything starts.
+  EXPECT_EQ(run({"campus", "--threads", "-1"}), kExitUsage);
+  EXPECT_EQ(run({"campus", "--threads", "1e12"}), kExitUsage);
+  EXPECT_EQ(run({"perf", tmp("p"), "--threads", "-1"}), kExitUsage);
+  EXPECT_EQ(run({"distill", tmp("in.trace"), tmp("out.replay"), "--stream",
+                 "--threads", "-1"}),
+            kExitUsage);
+}
+
+TEST(TracemodCli, BothValueSpellingsAreAccepted) {
+  const std::string path = tmp("eq.replay");
+  EXPECT_EQ(run({"synth", "wavelan", path, "--seconds=30"}), kExitOk);
+  EXPECT_EQ(run({"synth", "wavelan", path, "--seconds=thirty"}), kExitUsage);
+  EXPECT_EQ(run({"collect", "porter", tmp("x.trace"), "--seed", "1.5"}),
+            kExitUsage);
+}
+
+TEST(TracemodCli, UnwritableStatusPrefixIsAnIoErrorBeforeAnyWork) {
+  const std::string bad = testing::TempDir() + "no/such/dir/run";
+  EXPECT_EQ(run({"campus", "--hosts", "50", "--seconds", "2", "--status",
+                 bad}),
+            kExitIo);
+  const std::string prefix = tmp("perf_status");
+  EXPECT_EQ(run({"perf", prefix, "--status", bad}), kExitIo);
+  EXPECT_FALSE(std::ifstream(prefix + ".perf.json").good());
+}
+
+TEST(Sweep, MalformedInvocationsAreUsageErrors) {
+  EXPECT_EQ(sweep_main({"--trials", "abc"}), kExitUsage);
+  EXPECT_EQ(sweep_main({"--seed", "12x"}), kExitUsage);
+  EXPECT_EQ(sweep_main({"--scenarios", "porter", "--threads", "-1"}),
+            kExitUsage);
+  EXPECT_EQ(sweep_main({"--trials", "0"}), kExitUsage);
+  EXPECT_EQ(sweep_main({"--bogus"}), kExitUsage);
+  EXPECT_EQ(sweep_main({"--scenarios", "atlantis"}), kExitUsage);
+  EXPECT_EQ(sweep_main({"--scenarios", "wean,"}), kExitUsage);
+  EXPECT_EQ(sweep_main({"--benchmarks", "ftp"}), kExitUsage);
+  EXPECT_EQ(sweep_main({"--poison", "wean:web:live:x"}), kExitUsage);
+  EXPECT_EQ(sweep_main({"--poison", "wean:web:boot:0"}), kExitUsage);
+  EXPECT_EQ(sweep_main({"--budget", "inf"}), kExitUsage);
+  EXPECT_EQ(sweep_main({"--serial=1"}), kExitUsage);
+  EXPECT_EQ(sweep_main({"--journal", "a", "--resume", "b"}), kExitUsage);
+  EXPECT_EQ(sweep_main({"--resume", "b", "--audit"}), kExitUsage);
+}
+
+TEST(Sweep, UnwritableStatusPrefixIsAnIoError) {
+  EXPECT_EQ(sweep_main({"--trials", "1", "--scenarios", "wean",
+                        "--benchmarks", "web",
+                        "--status=" + testing::TempDir() + "no/such/dir/s"}),
+            kExitIo);
+}
+
+TEST(Sweep, FailedArtifactWriteIsAnIoError) {
+  const std::string bad = testing::TempDir() + "no/such/dir/x";
+  EXPECT_EQ(sweep_main({"--serial", "--trials", "1", "--scenarios", "wean",
+                        "--benchmarks", "web", "--telemetry", bad}),
+            kExitIo);
+}
+
+TEST(Sweep, RunsInProcessAndWritesItsJson) {
+  const std::string json = tmp("sweep.json");
+  ASSERT_EQ(sweep_main({"--serial", "--trials=1", "--scenarios=WEAN",
+                        "--benchmarks", "web", "--json=" + json}),
+            kExitOk);
+  std::ifstream in(json);
+  std::string contents((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  EXPECT_NE(contents.find("\"schema\": \"tracemod-sweep-v1\""),
+            std::string::npos);
+  EXPECT_NE(contents.find("\"scenario\": \"Wean\""), std::string::npos);
 }
 
 }  // namespace

@@ -68,19 +68,17 @@
 //       digest equals an unprofiled run's)
 #include "tracemod_cli.hpp"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
 
 #include "audit/auditor.hpp"
+#include "cli/run_options.hpp"
 #include "core/distiller.hpp"
 #include "core/model.hpp"
 #include "core/stream_distiller.hpp"
@@ -144,167 +142,68 @@ int usage() {
       "(campus and `distill --stream` also accept --status PREFIX: publish "
       "live progress\n to PREFIX.status, readable by `tracemod status` "
       "while the run executes)\n"
+      "a value flag is --name VALUE or --name=VALUE\n"
       "exit codes: 0 ok, 1 usage, 2 I/O or format error, "
       "3 damaged-but-salvageable trace, 4 fidelity breach, "
       "5 degraded/incomplete run (6 is bench-only; see README)\n");
   return kExitUsage;
 }
 
-struct FlagSpec {
-  const char* name;
-  bool takes_value;
-};
-
-/// Parsed, validated arguments: positionals in order, flags by name.
-struct Parsed {
-  std::vector<std::string> pos;
-  std::map<std::string, std::string> flags;
-  bool failed = false;
-
-  bool has(const std::string& name) const { return flags.count(name) > 0; }
-
-  bool str(const std::string& name, std::string* out) const {
-    const auto it = flags.find(name);
-    if (it == flags.end()) return false;
-    *out = it->second;
-    return true;
-  }
-};
-
-/// Strict parse: every --flag must be declared, value-taking flags must
-/// have a value, and the positional count must be in [min_pos, max_pos].
-Parsed parse(const char* cmd, const std::vector<std::string>& args,
-             std::initializer_list<FlagSpec> spec, std::size_t min_pos,
-             std::size_t max_pos) {
-  Parsed p;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a.rfind("--", 0) != 0) {
-      p.pos.push_back(a);
-      continue;
-    }
-    const FlagSpec* match = nullptr;
-    for (const FlagSpec& f : spec) {
-      if (a == f.name) match = &f;
-    }
-    if (match == nullptr) {
-      std::fprintf(stderr, "tracemod %s: unknown flag '%s'\n", cmd, a.c_str());
-      p.failed = true;
-      return p;
-    }
-    if (!match->takes_value) {
-      p.flags[a];
-      continue;
-    }
-    if (i + 1 >= args.size()) {
-      std::fprintf(stderr, "tracemod %s: flag '%s' requires a value\n", cmd,
-                   a.c_str());
-      p.failed = true;
-      return p;
-    }
-    p.flags[a] = args[++i];
-  }
-  if (p.pos.size() < min_pos || p.pos.size() > max_pos) {
-    std::fprintf(stderr, "tracemod %s: expected %zu%s argument%s, got %zu\n",
-                 cmd, min_pos, max_pos > min_pos ? "+" : "",
-                 min_pos == 1 && max_pos == 1 ? "" : "s", p.pos.size());
-    p.failed = true;
-  }
-  return p;
-}
-
-/// A numeric flag whose value must parse fully as a number.
-bool checked_number(const char* cmd, const Parsed& p, const std::string& name,
-                    double* out, bool* bad) {
-  const auto it = p.flags.find(name);
-  if (it == p.flags.end()) return false;
-  char* end = nullptr;
-  *out = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') {
-    std::fprintf(stderr, "tracemod %s: flag '%s' needs a number, got '%s'\n",
-                 cmd, name.c_str(), it->second.c_str());
-    *bad = true;
-    return false;
-  }
-  return true;
-}
-
-/// Arms `board` when --status PREFIX was given: snapshots go to
-/// PREFIX.status.  Returns false (after diagnosing) only when the flag was
-/// given but the status file is unwritable -- callers map that to usage,
-/// so a typo'd prefix fails loudly instead of running dark.
-bool arm_status_board(const char* cmd, const Parsed& p, const char* driver,
-                      sim::status::StatusBoard* board) {
-  std::string prefix;
-  if (!p.str("--status", &prefix)) return true;
-  sim::status::StatusBoard::Config cfg;
-  cfg.path = prefix + ".status";
-  cfg.driver = driver;
-  if (!board->configure(std::move(cfg))) {
-    std::fprintf(stderr, "tracemod %s: cannot write status file %s.status\n",
-                 cmd, prefix.c_str());
-    return false;
-  }
-  return true;
-}
+// Flags more than one subcommand declares.
+constexpr Flag kSeed{"--seed", Flag::kValue};
+constexpr Flag kSeconds{"--seconds", Flag::kValue};
+constexpr Flag kReplay{"--replay", Flag::kValue};
+constexpr Flag kBenchmark{"--benchmark", Flag::kValue};
+constexpr Flag kHosts{"--hosts", Flag::kValue};
+constexpr Flag kCell{"--cell", Flag::kValue};
+constexpr Flag kThreads{"--threads", Flag::kValue};
 
 int cmd_collect(const std::vector<std::string>& args) {
-  const Parsed p = parse("collect", args, {{"--seed", true}}, 2, 2);
-  if (p.failed) return usage();
-  const scenarios::Scenario* scenario = nullptr;
+  Args p = parse("tracemod collect", args, {kSeed}, 2, 2);
+  std::uint64_t seed = 1;
+  p.integer("--seed", &seed);
+  if (!p.ok()) return usage();
   static const auto all = scenarios::all_scenarios();
-  for (const auto& s : all) {
-    std::string lower = s.name;
-    for (char& c : lower) c = static_cast<char>(std::tolower(c));
-    if (lower == p.pos[0]) scenario = &s;
-  }
+  const scenarios::Scenario* scenario =
+      scenarios::find_scenario(all, p.pos()[0]);
   if (scenario == nullptr) {
-    std::fprintf(stderr, "unknown scenario '%s'\n", p.pos[0].c_str());
+    std::fprintf(stderr, "unknown scenario '%s'\n", p.pos()[0].c_str());
     return usage();
   }
-  double seed = 1;
-  bool bad = false;
-  checked_number("collect", p, "--seed", &seed, &bad);
-  if (bad) return usage();
 
-  std::printf("collecting %s (seed %.0f, %.0f s traversal)...\n",
-              scenario->name.c_str(), seed,
+  std::printf("collecting %s (seed %llu, %.0f s traversal)...\n",
+              scenario->name.c_str(), static_cast<unsigned long long>(seed),
               sim::to_seconds(scenario->collection_duration));
-  const trace::CollectedTrace collected = scenarios::collect_raw_trace(
-      *scenario, static_cast<std::uint64_t>(seed));
-  trace::save_trace(p.pos[1], collected);
+  const trace::CollectedTrace collected =
+      scenarios::collect_raw_trace(*scenario, seed);
+  trace::save_trace(p.pos()[1], collected);
   std::printf("wrote %zu records to %s\n", collected.records.size(),
-              p.pos[1].c_str());
+              p.pos()[1].c_str());
   return kExitOk;
 }
 
 /// The streaming-distillation path of cmd_distill: bounded memory,
 /// checkpoints, and the 0/3/5 exit-code contract.
-int cmd_distill_stream(const Parsed& p, const core::DistillConfig& dcfg) {
+int cmd_distill_stream(Args& p, const core::DistillConfig& dcfg) {
   core::StreamDistillConfig scfg;
   scfg.distill = dcfg;
   double v = 0;
-  bool bad = false;
-  if (checked_number("distill", p, "--corpus-window", &v, &bad)) {
-    scfg.span = sim::from_seconds(v);
-  }
-  if (checked_number("distill", p, "--threads", &v, &bad)) {
-    scfg.threads = static_cast<unsigned>(v);
-  }
-  if (checked_number("distill", p, "--budget-mb", &v, &bad)) {
+  if (p.number("--corpus-window", &v)) scfg.span = sim::from_seconds(v);
+  p.threads("--threads", &scfg.threads);
+  if (p.number("--budget-mb", &v)) {
     scfg.budget.bytes =
         static_cast<std::uint64_t>(v * 1024.0 * 1024.0);
   }
-  if (bad) return usage();
+  if (!p.ok()) return usage();
   p.str("--checkpoint", &scfg.checkpoint_path);
   scfg.resume = p.has("--resume");
   sim::status::StatusBoard board;
-  if (!arm_status_board("distill", p, "distill", &board)) return usage();
+  if (!arm_status(p, "distill", &board)) return kExitIo;
   if (board.enabled()) scfg.status = &board;
 
   core::StreamDistiller distiller(scfg);
-  const core::StreamDistillResult res = distiller.distill_file(p.pos[0]);
-  res.replay.save(p.pos[1]);
+  const core::StreamDistillResult res = distiller.distill_file(p.pos()[0]);
+  res.replay.save(p.pos()[1]);
 
   const char* status = res.status == core::DistillStatus::kOk ? "ok"
                        : res.status == core::DistillStatus::kSalvaged
@@ -320,7 +219,7 @@ int cmd_distill_stream(const Parsed& p, const core::DistillConfig& dcfg) {
       static_cast<unsigned long long>(res.stats.windows_shed),
       static_cast<unsigned long long>(res.stats.windows_resumed),
       static_cast<unsigned long long>(res.stats.retained_bytes),
-      res.replay.size(), p.pos[1].c_str(), status);
+      res.replay.size(), p.pos()[1].c_str(), status);
 
   if (res.stats.checkpoint_degraded) {
     std::fprintf(stderr,
@@ -377,20 +276,20 @@ int cmd_distill_stream(const Parsed& p, const core::DistillConfig& dcfg) {
 }
 
 int cmd_distill(const std::vector<std::string>& args) {
-  const Parsed p = parse("distill", args,
-                         {{"--window", true},
-                          {"--step", true},
-                          {"--salvage", false},
-                          {"--stream", false},
-                          {"--corpus-window", true},
-                          {"--threads", true},
-                          {"--budget-mb", true},
-                          {"--checkpoint", true},
-                          {"--resume", false},
-                          {"--json", true},
-                          {"--status", true}},
-                         2, 2);
-  if (p.failed) return usage();
+  Args p = parse("tracemod distill", args,
+                 {{"--window", Flag::kValue},
+                  {"--step", Flag::kValue},
+                  {"--salvage"},
+                  {"--stream"},
+                  {"--corpus-window", Flag::kValue},
+                  {"--threads", Flag::kValue},
+                  {"--budget-mb", Flag::kValue},
+                  {"--checkpoint", Flag::kValue},
+                  {"--resume"},
+                  {"--json", Flag::kValue},
+                  kStatusFlag},
+                 2, 2);
+  if (!p.ok()) return usage();
   if (p.has("--status") && !p.has("--stream")) {
     std::fprintf(stderr,
                  "tracemod distill: --status requires --stream (the "
@@ -398,21 +297,14 @@ int cmd_distill(const std::vector<std::string>& args) {
     return usage();
   }
   core::DistillConfig cfg;
-  {
-    double v = 0;
-    bool bad = false;
-    if (checked_number("distill", p, "--window", &v, &bad)) {
-      cfg.window = sim::from_seconds(v);
-    }
-    if (checked_number("distill", p, "--step", &v, &bad)) {
-      cfg.step = sim::from_seconds(v);
-    }
-    if (bad) return usage();
-  }
+  double v = 0;
+  if (p.number("--window", &v)) cfg.window = sim::from_seconds(v);
+  if (p.number("--step", &v)) cfg.step = sim::from_seconds(v);
+  if (!p.ok()) return usage();
   if (p.has("--stream")) return cmd_distill_stream(p, cfg);
   trace::TraceReadOptions ropts;
   if (p.has("--salvage")) ropts.mode = trace::ReadMode::kSalvage;
-  const trace::TraceReadResult loaded = trace::load_trace_ex(p.pos[0], ropts);
+  const trace::TraceReadResult loaded = trace::load_trace_ex(p.pos()[0], ropts);
   if (!loaded.report.clean()) {
     std::printf("salvaged input: %llu records read, %llu skipped "
                 "(%llu crc failures, %llu loss markers added)\n",
@@ -425,7 +317,7 @@ int cmd_distill(const std::vector<std::string>& args) {
   const trace::CollectedTrace& collected = loaded.trace;
   core::Distiller distiller(cfg);
   const core::ReplayTrace replay = distiller.distill(collected);
-  replay.save(p.pos[1]);
+  replay.save(p.pos()[1]);
   std::printf(
       "distilled %zu records -> %zu tuples (%zu groups, %zu corrected, "
       "%zu skipped)\nmean latency %.2f ms, mean bottleneck %.2f Mb/s, "
@@ -436,24 +328,24 @@ int cmd_distill(const std::vector<std::string>& args) {
       replay.mean_bottleneck_per_byte() > 0
           ? 8.0 / replay.mean_bottleneck_per_byte() / 1e6
           : 0.0,
-      replay.mean_loss() * 100.0, p.pos[1].c_str());
+      replay.mean_loss() * 100.0, p.pos()[1].c_str());
   return kExitOk;
 }
 
 int cmd_info(const std::vector<std::string>& args) {
-  const Parsed p = parse("info", args, {}, 1, 1);
-  if (p.failed) return usage();
+  const Args p = parse("tracemod info", args, {}, 1, 1);
+  if (!p.ok()) return usage();
   // Sniff: binary raw traces start with "TMTR"; replay traces with '#'.
-  std::ifstream in(p.pos[0], std::ios::binary);
+  std::ifstream in(p.pos()[0], std::ios::binary);
   if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", p.pos[0].c_str());
+    std::fprintf(stderr, "cannot open %s\n", p.pos()[0].c_str());
     return kExitIo;
   }
   char magic[4] = {};
   in.read(magic, 4);
   in.close();
   if (std::memcmp(magic, "TMTR", 4) == 0) {
-    const trace::CollectedTrace t = trace::load_trace(p.pos[0]);
+    const trace::CollectedTrace t = trace::load_trace(p.pos()[0]);
     std::size_t packets = 0, device = 0, lost_markers = 0;
     for (const auto& r : t.records) {
       if (std::holds_alternative<trace::PacketRecord>(r)) ++packets;
@@ -470,7 +362,7 @@ int cmd_info(const std::vector<std::string>& args) {
         static_cast<unsigned long long>(t.total_lost_records()));
     return kExitOk;
   }
-  const core::ReplayTrace r = core::ReplayTrace::load(p.pos[0]);
+  const core::ReplayTrace r = core::ReplayTrace::load(p.pos()[0]);
   double worst_loss = 0, worst_latency = 0;
   for (const auto& t : r.tuples()) {
     worst_loss = std::max(worst_loss, t.loss);
@@ -491,28 +383,26 @@ int cmd_info(const std::vector<std::string>& args) {
 }
 
 int cmd_synth(const std::vector<std::string>& args) {
-  const Parsed p = parse("synth", args, {{"--seconds", true}}, 2, 2);
-  if (p.failed) return usage();
+  Args p = parse("tracemod synth", args, {kSeconds}, 2, 2);
   double seconds = 300;
-  bool bad = false;
-  checked_number("synth", p, "--seconds", &seconds, &bad);
-  if (bad) return usage();
+  p.number("--seconds", &seconds);
+  if (!p.ok()) return usage();
   const sim::Duration total = sim::from_seconds(seconds);
   core::ReplayTrace trace;
-  if (p.pos[0] == "wavelan") {
+  if (p.pos()[0] == "wavelan") {
     trace = core::ReplayTrace::wavelan_like(total);
-  } else if (p.pos[0] == "step") {
+  } else if (p.pos()[0] == "step") {
     trace = core::ReplayTrace::bandwidth_step(total, sim::seconds(1), 0.003,
                                               200e3, 1.6e6, sim::seconds(16));
-  } else if (p.pos[0] == "slow") {
+  } else if (p.pos()[0] == "slow") {
     trace = core::ReplayTrace::constant(total, sim::seconds(1), 0.020, 250e3,
                                         0.0);
   } else {
-    std::fprintf(stderr, "unknown synth kind '%s'\n", p.pos[0].c_str());
+    std::fprintf(stderr, "unknown synth kind '%s'\n", p.pos()[0].c_str());
     return usage();
   }
-  trace.save(p.pos[1]);
-  std::printf("wrote %zu tuples to %s\n", trace.size(), p.pos[1].c_str());
+  trace.save(p.pos()[1]);
+  std::printf("wrote %zu tuples to %s\n", trace.size(), p.pos()[1].c_str());
   return kExitOk;
 }
 
@@ -557,23 +447,23 @@ std::uint64_t streamed_record_count(const std::string& path,
 }
 
 int cmd_verify(const std::vector<std::string>& args) {
-  const Parsed p = parse("verify", args, {}, 1, 1);
-  if (p.failed) return usage();
+  const Args p = parse("tracemod verify", args, {}, 1, 1);
+  if (!p.ok()) return usage();
   // Strict pass first: a clean trace needs no salvage.  Both passes
   // stream, so verification of a multi-GB corpus runs in constant memory.
   trace::TraceReadReport report;
   try {
-    streamed_record_count(p.pos[0], trace::ReadMode::kStrict, &report);
-    std::printf("%s: OK (strict)\n", p.pos[0].c_str());
+    streamed_record_count(p.pos()[0], trace::ReadMode::kStrict, &report);
+    std::printf("%s: OK (strict)\n", p.pos()[0].c_str());
     print_report(report);
     return kExitOk;
   } catch (const trace::TraceFormatError& e) {
-    std::printf("%s: strict parse FAILED\n  %s\n", p.pos[0].c_str(),
+    std::printf("%s: strict parse FAILED\n  %s\n", p.pos()[0].c_str(),
                 e.what());
   }
   // Damaged: report what a salvage read can recover.
   const std::uint64_t recovered =
-      streamed_record_count(p.pos[0], trace::ReadMode::kSalvage, &report);
+      streamed_record_count(p.pos()[0], trace::ReadMode::kSalvage, &report);
   std::printf("salvage read recovered %llu records\n",
               static_cast<unsigned long long>(recovered));
   print_report(report);
@@ -581,46 +471,44 @@ int cmd_verify(const std::vector<std::string>& args) {
 }
 
 int cmd_corrupt(const std::vector<std::string>& args) {
-  const Parsed p = parse("corrupt", args,
-                         {{"--seed", true},
-                          {"--flips", true},
-                          {"--truncate", false},
-                          {"--drop", true},
-                          {"--dup", true},
-                          {"--range-begin", true},
-                          {"--range-end", true}},
-                         2, 2);
-  if (p.failed) return usage();
-  double seed = 1, flips = 4, drop = 0, dup = 0;
-  double range_begin = 0, range_end = 0;
-  bool bad = false;
-  checked_number("corrupt", p, "--seed", &seed, &bad);
-  checked_number("corrupt", p, "--flips", &flips, &bad);
-  checked_number("corrupt", p, "--drop", &drop, &bad);
-  checked_number("corrupt", p, "--dup", &dup, &bad);
-  checked_number("corrupt", p, "--range-begin", &range_begin, &bad);
-  checked_number("corrupt", p, "--range-end", &range_end, &bad);
-  if (bad) return usage();
+  Args p = parse("tracemod corrupt", args,
+                 {kSeed,
+                  {"--flips", Flag::kValue},
+                  {"--truncate"},
+                  {"--drop", Flag::kValue},
+                  {"--dup", Flag::kValue},
+                  {"--range-begin", Flag::kValue},
+                  {"--range-end", Flag::kValue}},
+                 2, 2);
+  std::uint64_t seed = 1, range_begin = 0, range_end = 0;
+  int flips = 4, drop = 0, dup = 0;
+  p.integer("--seed", &seed);
+  p.integer("--flips", &flips, 0);
+  p.integer("--drop", &drop, 0);
+  p.integer("--dup", &dup, 0);
+  p.integer("--range-begin", &range_begin);
+  p.integer("--range-end", &range_end);
+  if (!p.ok()) return usage();
 
   // Record-level faults ride along a streaming copy: the input is never
   // resident, so a multi-GB corpus corrupts with flat memory.
-  std::ifstream in(p.pos[0], std::ios::binary);
+  std::ifstream in(p.pos()[0], std::ios::binary);
   if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", p.pos[0].c_str());
+    std::fprintf(stderr, "cannot open %s\n", p.pos()[0].c_str());
     return kExitIo;
   }
   trace::TraceStreamReader reader(in, {trace::ReadMode::kStrict, nullptr});
   const std::uint64_t expected = reader.report().records_expected;
 
-  trace::FaultInjector injector(sim::Rng(static_cast<std::uint64_t>(seed)));
+  trace::FaultInjector injector{sim::Rng(seed)};
   std::set<std::uint64_t> dropped;
   std::multiset<std::uint64_t> duplicated;
   if (expected > 0) {
-    for (std::size_t i = 0; i < static_cast<std::size_t>(drop); ++i) {
+    for (int i = 0; i < drop; ++i) {
       dropped.insert(static_cast<std::uint64_t>(injector.rng().uniform_int(
           0, static_cast<std::int64_t>(expected) - 1)));
     }
-    for (std::size_t i = 0; i < static_cast<std::size_t>(dup); ++i) {
+    for (int i = 0; i < dup; ++i) {
       duplicated.insert(static_cast<std::uint64_t>(injector.rng().uniform_int(
           0, static_cast<std::int64_t>(expected) - 1)));
     }
@@ -628,7 +516,7 @@ int cmd_corrupt(const std::vector<std::string>& args) {
 
   std::uint64_t written = 0;
   {
-    trace::TraceStreamWriter writer(p.pos[1]);
+    trace::TraceStreamWriter writer(p.pos()[1]);
     trace::TraceRecord rec;
     std::uint64_t index = 0;
     while (reader.next(&rec)) {
@@ -645,48 +533,45 @@ int cmd_corrupt(const std::vector<std::string>& args) {
   // version + schema table + count): the salvage reader needs an anchor;
   // header-corrupting runs are exercised separately by the fuzzers.
   std::error_code ec;
-  std::uint64_t size = std::filesystem::file_size(p.pos[1], ec);
+  std::uint64_t size = std::filesystem::file_size(p.pos()[1], ec);
   if (ec) {
-    std::fprintf(stderr, "cannot stat %s\n", p.pos[1].c_str());
+    std::fprintf(stderr, "cannot stat %s\n", p.pos()[1].c_str());
     return kExitIo;
   }
   const std::uint64_t protect = size < 64 ? size / 2 : 64;
-  const std::uint64_t begin =
-      std::max(protect, static_cast<std::uint64_t>(range_begin));
-  injector.flip_file_range(p.pos[1], static_cast<std::size_t>(flips), begin,
-                           static_cast<std::uint64_t>(range_end));
+  injector.flip_file_range(p.pos()[1], static_cast<std::size_t>(flips),
+                           std::max(protect, range_begin), range_end);
   if (p.has("--truncate")) {
-    injector.truncate_file(p.pos[1], protect);
+    injector.truncate_file(p.pos()[1], protect);
   }
-  size = std::filesystem::file_size(p.pos[1], ec);
+  size = std::filesystem::file_size(p.pos()[1], ec);
 
   std::printf(
       "wrote %s: %llu bytes, %llu records, %d byte flips%s, "
-      "%d dropped, %d duplicated (seed %.0f)\n",
-      p.pos[1].c_str(), static_cast<unsigned long long>(size),
-      static_cast<unsigned long long>(written), static_cast<int>(flips),
-      p.has("--truncate") ? ", truncated" : "", static_cast<int>(drop),
-      static_cast<int>(dup), seed);
+      "%d dropped, %d duplicated (seed %llu)\n",
+      p.pos()[1].c_str(), static_cast<unsigned long long>(size),
+      static_cast<unsigned long long>(written), flips,
+      p.has("--truncate") ? ", truncated" : "", drop, dup,
+      static_cast<unsigned long long>(seed));
   return kExitOk;
 }
 
 int cmd_gen_corpus(const std::vector<std::string>& args) {
-  const Parsed p = parse("gen-corpus", args,
-                         {{"--seconds", true},
-                          {"--interval", true},
-                          {"--target-mb", true},
-                          {"--loss", true},
-                          {"--seed", true}},
-                         1, 1);
-  if (p.failed) return usage();
-  double seconds = 3600, interval = 1.0, target_mb = 0, loss = 0.01, seed = 1;
-  bool bad = false;
-  checked_number("gen-corpus", p, "--seconds", &seconds, &bad);
-  checked_number("gen-corpus", p, "--interval", &interval, &bad);
-  checked_number("gen-corpus", p, "--target-mb", &target_mb, &bad);
-  checked_number("gen-corpus", p, "--loss", &loss, &bad);
-  checked_number("gen-corpus", p, "--seed", &seed, &bad);
-  if (bad) return usage();
+  Args p = parse("tracemod gen-corpus", args,
+                 {kSeconds,
+                  {"--interval", Flag::kValue},
+                  {"--target-mb", Flag::kValue},
+                  {"--loss", Flag::kValue},
+                  kSeed},
+                 1, 1);
+  double seconds = 3600, interval = 1.0, target_mb = 0, loss = 0.01;
+  std::uint64_t seed = 1;
+  p.number("--seconds", &seconds);
+  p.number("--interval", &interval);
+  p.number("--target-mb", &target_mb);
+  p.number("--loss", &loss);
+  p.integer("--seed", &seed);
+  if (!p.ok()) return usage();
   if (seconds <= 0 || interval <= 0 || loss < 0 || loss > 1 ||
       target_mb < 0) {
     std::fprintf(stderr, "tracemod gen-corpus: invalid parameter value\n");
@@ -698,12 +583,12 @@ int cmd_gen_corpus(const std::vector<std::string>& args) {
   spec.group_interval = sim::from_seconds(interval);
   spec.target_bytes = static_cast<std::uint64_t>(target_mb * 1024.0 * 1024.0);
   spec.reply_loss = loss;
-  spec.seed = static_cast<std::uint64_t>(seed);
-  const trace::CorpusInfo info = trace::generate_ping_corpus(p.pos[0], spec);
+  spec.seed = seed;
+  const trace::CorpusInfo info = trace::generate_ping_corpus(p.pos()[0], spec);
   std::printf(
       "wrote %s: %llu records (%llu probe groups, %llu replies dropped), "
       "%.1f MB\n",
-      p.pos[0].c_str(), static_cast<unsigned long long>(info.records),
+      p.pos()[0].c_str(), static_cast<unsigned long long>(info.records),
       static_cast<unsigned long long>(info.groups),
       static_cast<unsigned long long>(info.replies_dropped),
       static_cast<double>(info.bytes) / (1024.0 * 1024.0));
@@ -711,43 +596,39 @@ int cmd_gen_corpus(const std::vector<std::string>& args) {
 }
 
 int cmd_audit(const std::vector<std::string>& args) {
-  const Parsed p = parse("audit", args,
-                         {{"--tick", true},
-                          {"--seed", true},
-                          {"--json", true},
-                          {"--baseline-seconds", true},
-                          {"--max-latency", true},
-                          {"--max-bandwidth", true},
-                          {"--max-loss", true},
-                          {"--max-ks", true},
-                          {"--min-within", true},
-                          {"--min-auditable", true}},
-                         1, 1);
-  if (p.failed) return usage();
-  double tick_ms = 10, seed = 1, baseline_s = 30;
-  bool bad = false;
-  checked_number("audit", p, "--tick", &tick_ms, &bad);
-  checked_number("audit", p, "--seed", &seed, &bad);
-  checked_number("audit", p, "--baseline-seconds", &baseline_s, &bad);
-
+  Args p = parse("tracemod audit", args,
+                 {{"--tick", Flag::kValue},
+                  kSeed,
+                  {"--json", Flag::kValue},
+                  {"--baseline-seconds", Flag::kValue},
+                  {"--max-latency", Flag::kValue},
+                  {"--max-bandwidth", Flag::kValue},
+                  {"--max-loss", Flag::kValue},
+                  {"--max-ks", Flag::kValue},
+                  {"--min-within", Flag::kValue},
+                  {"--min-auditable", Flag::kValue}},
+                 1, 1);
+  double tick_ms = 10, baseline_s = 30;
   audit::AuditConfig cfg;
-  cfg.second_order.emulator.seed = static_cast<std::uint64_t>(seed);
+  cfg.second_order.emulator.seed = 1;
+  p.number("--tick", &tick_ms);
+  p.integer("--seed", &cfg.second_order.emulator.seed);
+  p.number("--baseline-seconds", &baseline_s);
   cfg.second_order.emulator.modulation.tick =
       sim::from_seconds(tick_ms * 1e-3);
   cfg.baseline_run = sim::from_seconds(baseline_s);
   audit::FidelityThresholds& th = cfg.thresholds;
-  checked_number("audit", p, "--max-latency", &th.max_latency_rel_err, &bad);
-  checked_number("audit", p, "--max-bandwidth", &th.max_bandwidth_rel_err,
-                 &bad);
-  checked_number("audit", p, "--max-loss", &th.max_loss_delta, &bad);
-  checked_number("audit", p, "--max-ks", &th.max_ks_rtt, &bad);
-  checked_number("audit", p, "--min-within", &th.min_within_tolerance, &bad);
-  checked_number("audit", p, "--min-auditable", &th.min_auditable, &bad);
-  if (bad) return usage();
+  p.number("--max-latency", &th.max_latency_rel_err);
+  p.number("--max-bandwidth", &th.max_bandwidth_rel_err);
+  p.number("--max-loss", &th.max_loss_delta);
+  p.number("--max-ks", &th.max_ks_rtt);
+  p.number("--min-within", &th.min_within_tolerance);
+  p.number("--min-auditable", &th.min_auditable);
+  if (!p.ok()) return usage();
 
-  const core::ReplayTrace reference = core::ReplayTrace::load(p.pos[0]);
+  const core::ReplayTrace reference = core::ReplayTrace::load(p.pos()[0]);
   const audit::FidelityReport report =
-      audit::audit_trace(reference, cfg, p.pos[0]);
+      audit::audit_trace(reference, cfg, p.pos()[0]);
 
   std::ostringstream human;
   audit::write_fidelity_report(human, report);
@@ -765,42 +646,31 @@ int cmd_audit(const std::vector<std::string>& args) {
   return report.passed() ? kExitOk : kExitAudit;
 }
 
-/// Parses a --benchmark value; returns false (and prints) on an unknown
-/// kind.  Shared by cmd_report and cmd_perf.
-bool parse_benchmark_kind(const Parsed& p, scenarios::BenchmarkKind* kind) {
-  std::string bm;
-  if (!p.str("--benchmark", &bm)) return true;
-  if (bm == "web") {
-    *kind = scenarios::BenchmarkKind::kWeb;
-  } else if (bm == "ftp-send") {
-    *kind = scenarios::BenchmarkKind::kFtpSend;
-  } else if (bm == "ftp-recv") {
-    *kind = scenarios::BenchmarkKind::kFtpRecv;
-  } else if (bm == "andrew") {
-    *kind = scenarios::BenchmarkKind::kAndrew;
+/// Reads --benchmark into *kind; an unknown name fails the parse.
+/// Shared by cmd_report and cmd_perf.
+void benchmark_flag(Args& p, scenarios::BenchmarkKind* kind) {
+  std::string name;
+  if (!p.str("--benchmark", &name)) return;
+  if (const auto k = scenarios::parse_benchmark_kind(name)) {
+    *kind = *k;
   } else {
-    std::fprintf(stderr, "unknown benchmark '%s'\n", bm.c_str());
-    return false;
+    p.fail("unknown benchmark '" + name + "'");
   }
-  return true;
 }
 
 int cmd_report(const std::vector<std::string>& args) {
-  const Parsed p = parse("report", args,
-                         {{"--replay", true},
-                          {"--benchmark", true},
-                          {"--seed", true},
-                          {"--seconds", true},
-                          {"--audit", false},
-                          {"--perf", false}},
-                         1, 1);
-  if (p.failed) return usage();
-  const std::string prefix = p.pos[0];
-  double seed = 1, seconds = 120;
-  bool bad = false;
-  checked_number("report", p, "--seed", &seed, &bad);
-  checked_number("report", p, "--seconds", &seconds, &bad);
-  if (bad) return usage();
+  Args p = parse("tracemod report", args,
+                 {kReplay, kBenchmark, kSeed, kSeconds, {"--audit"},
+                  {"--perf"}},
+                 1, 1);
+  std::uint64_t seed = 1;
+  double seconds = 120;
+  p.integer("--seed", &seed);
+  p.number("--seconds", &seconds);
+  scenarios::BenchmarkKind kind = scenarios::BenchmarkKind::kFtpRecv;
+  benchmark_flag(p, &kind);
+  if (!p.ok()) return usage();
+  const std::string prefix = p.pos()[0];
 
   core::ReplayTrace trace;
   std::string replay_path;
@@ -809,9 +679,6 @@ int cmd_report(const std::vector<std::string>& args) {
   } else {
     trace = core::ReplayTrace::wavelan_like(sim::from_seconds(seconds));
   }
-
-  scenarios::BenchmarkKind kind = scenarios::BenchmarkKind::kFtpRecv;
-  if (!parse_benchmark_kind(p, &kind)) return usage();
 
   sim::TelemetryConfig tcfg;
   tcfg.enabled = true;
@@ -824,8 +691,7 @@ int cmd_report(const std::vector<std::string>& args) {
     std::optional<sim::perf::PerfSession> session;
     if (p.has("--perf")) session.emplace(profiler);
     outcome = scenarios::run_modulated_benchmark(
-        trace, kind, static_cast<std::uint64_t>(seed), sim::milliseconds(10),
-        0.0, tcfg);
+        trace, kind, seed, sim::milliseconds(10), 0.0, tcfg);
   }
   if (outcome.telemetry == nullptr) {
     std::fprintf(stderr, "telemetry capture failed\n");
@@ -845,7 +711,7 @@ int cmd_report(const std::vector<std::string>& args) {
   audit::FidelityReport fidelity;
   if (p.has("--audit")) {
     audit::AuditConfig acfg;
-    acfg.second_order.emulator.seed = static_cast<std::uint64_t>(seed) + 1700;
+    acfg.second_order.emulator.seed = seed + 1700;
     fidelity = audit::audit_trace(trace, acfg, prefix);
     audit_snap = std::make_shared<sim::TelemetrySnapshot>(
         audit::telemetry_snapshot(fidelity));
@@ -895,42 +761,37 @@ int cmd_report(const std::vector<std::string>& args) {
   return outcome.ok ? kExitOk : kExitIo;
 }
 
+/// The world knobs `campus` and `perf --campus` share; the defaults are
+/// CampusConfig's, so both commands build the same world (and digest)
+/// out of the box.
+void campus_flags(Args& p, scenarios::CampusConfig* cfg) {
+  p.integer("--hosts", &cfg->hosts, std::size_t{1});
+  p.number("--cell", &cfg->cell_size_m);
+  p.threads("--threads", &cfg->threads);
+  p.integer("--seed", &cfg->seed);
+}
+
 int cmd_campus(const std::vector<std::string>& args) {
-  const Parsed p = parse("campus", args,
-                         {{"--hosts", true},
-                          {"--cell", true},
-                          {"--threads", true},
-                          {"--seconds", true},
-                          {"--seed", true},
-                          {"--wall-budget", true},
-                          {"--json", true},
-                          {"--status", true}},
-                         0, 0);
-  if (p.failed) return usage();
-  double hosts = 1000, cell = 130.0, threads = 0, seconds = 30, seed = 42,
-         wall_budget = 0;
-  bool bad = false;
-  checked_number("campus", p, "--hosts", &hosts, &bad);
-  checked_number("campus", p, "--cell", &cell, &bad);
-  checked_number("campus", p, "--threads", &threads, &bad);
-  checked_number("campus", p, "--seconds", &seconds, &bad);
-  checked_number("campus", p, "--seed", &seed, &bad);
-  checked_number("campus", p, "--wall-budget", &wall_budget, &bad);
-  if (bad) return usage();
-  if (hosts < 1 || seconds <= 0 || threads < 0 || wall_budget < 0) {
+  Args p = parse("tracemod campus", args,
+                 {kHosts, kCell, kThreads, kSeconds, kSeed,
+                  {"--wall-budget", Flag::kValue},
+                  {"--json", Flag::kValue},
+                  kStatusFlag});
+  scenarios::CampusConfig cfg;
+  campus_flags(p, &cfg);
+  double seconds = 30, wall_budget = 0;
+  p.number("--seconds", &seconds);
+  p.number("--wall-budget", &wall_budget);
+  if (!p.ok()) return usage();
+  if (seconds <= 0 || wall_budget < 0) {
     std::fprintf(stderr, "tracemod campus: invalid parameter value\n");
     return usage();
   }
-
-  scenarios::CampusConfig cfg;
-  cfg.hosts = static_cast<std::size_t>(hosts);
-  cfg.cell_size_m = cell;
-  cfg.threads = static_cast<unsigned>(threads);
+  const double cell = cfg.cell_size_m;
   cfg.horizon = sim::from_seconds(seconds);
-  cfg.seed = static_cast<std::uint64_t>(seed);
   cfg.watchdog.wall_budget_s = wall_budget;
   sim::status::StatusBoard board;
-  if (!arm_status_board("campus", p, "campus", &board)) return usage();
+  if (!arm_status(p, "campus", &board)) return kExitIo;
   if (board.enabled()) cfg.watchdog.status = &board;
 
   const scenarios::CampusResult r = scenarios::run_campus(cfg);
@@ -986,49 +847,49 @@ int cmd_campus(const std::vector<std::string>& args) {
 }
 
 int cmd_perf(const std::vector<std::string>& args) {
-  const Parsed p = parse("perf", args,
-                         {{"--pipeline", true},
-                          {"--campus", false},
-                          {"--replay", true},
-                          {"--benchmark", true},
-                          {"--seed", true},
-                          {"--seconds", true},
-                          {"--hosts", true},
-                          {"--cell", true},
-                          {"--threads", true},
-                          {"--stride", true},
-                          {"--top", true},
-                          {"--status", true}},
-                         1, 1);
-  if (p.failed) return usage();
-  const std::string prefix = p.pos[0];
-  double seed = 1, seconds = 0, hosts = 1000, cell = 130.0, threads = 0,
-         stride = 1, top = 10;
-  bool bad = false;
-  checked_number("perf", p, "--seed", &seed, &bad);
-  checked_number("perf", p, "--seconds", &seconds, &bad);
-  checked_number("perf", p, "--hosts", &hosts, &bad);
-  checked_number("perf", p, "--cell", &cell, &bad);
-  checked_number("perf", p, "--threads", &threads, &bad);
-  checked_number("perf", p, "--stride", &stride, &bad);
-  checked_number("perf", p, "--top", &top, &bad);
-  if (bad) return usage();
-  if (p.has("--campus") && p.has("--pipeline")) {
-    std::fprintf(stderr,
-                 "tracemod perf: --campus and --pipeline are exclusive\n");
-    return usage();
-  }
-  if (stride < 1 || top < 1 || hosts < 1) {
-    std::fprintf(stderr, "tracemod perf: invalid parameter value\n");
-    return usage();
-  }
-
+  Args p = parse("tracemod perf", args,
+                 {{"--pipeline", Flag::kValue},
+                  {"--campus"},
+                  kReplay,
+                  kBenchmark,
+                  kSeed,
+                  kSeconds,
+                  kHosts,
+                  kCell,
+                  kThreads,
+                  {"--stride", Flag::kValue},
+                  {"--top", Flag::kValue},
+                  kStatusFlag},
+                 1, 1);
+  std::uint64_t seed = 1;
+  double seconds = 0;
+  std::size_t top = 10;
   sim::perf::PerfConfig pcfg;
-  pcfg.sampling_stride = static_cast<std::uint32_t>(stride);
+  scenarios::CampusConfig campus;
+  p.integer("--seed", &seed);
+  p.number("--seconds", &seconds);
+  p.integer("--stride", &pcfg.sampling_stride, 1u);
+  p.integer("--top", &top, std::size_t{1});
+  campus_flags(p, &campus);
+  scenarios::BenchmarkKind kind = scenarios::BenchmarkKind::kFtpRecv;
+  benchmark_flag(p, &kind);
+  std::string name;
+  const scenarios::Scenario* scenario = nullptr;
+  static const auto all = scenarios::all_scenarios();
+  if (p.str("--pipeline", &name)) {
+    scenario = scenarios::find_scenario(all, name);
+    if (scenario == nullptr) p.fail("unknown scenario '" + name + "'");
+  }
+  if (p.has("--campus") && p.has("--pipeline")) {
+    p.fail("--campus and --pipeline are exclusive");
+  }
+  if (!p.ok()) return usage();
+  const std::string prefix = p.pos()[0];
+
   sim::perf::PerfProfiler profiler(pcfg);
 
   sim::status::StatusBoard board;
-  if (!arm_status_board("perf", p, "perf", &board)) return usage();
+  if (!arm_status(p, "perf", &board)) return kExitIo;
   scenarios::WatchdogConfig perf_watchdog;
   if (board.enabled()) perf_watchdog.status = &board;
 
@@ -1038,22 +899,17 @@ int cmd_perf(const std::vector<std::string>& args) {
   bool ok = true;
 
   if (p.has("--campus")) {
-    scenarios::CampusConfig cfg;
-    cfg.hosts = static_cast<std::size_t>(hosts);
-    cfg.cell_size_m = cell;
-    cfg.threads = static_cast<unsigned>(threads);
-    cfg.horizon = sim::from_seconds(seconds > 0 ? seconds : 30);
-    // Match cmd_campus's default seed so `tracemod perf --campus` and
-    // `tracemod campus` produce the same digest out of the box (the
-    // virtual-time-identity check in CI diffs exactly that).
-    cfg.seed = p.has("--seed") ? static_cast<std::uint64_t>(seed) : 42;
-    cfg.watchdog = perf_watchdog;
+    // campus_flags() keeps CampusConfig's default seed, so `tracemod perf
+    // --campus` and `tracemod campus` produce the same digest out of the
+    // box (the virtual-time-identity check in CI diffs exactly that).
+    campus.horizon = sim::from_seconds(seconds > 0 ? seconds : 30);
+    campus.watchdog = perf_watchdog;
     scenarios::CampusResult r;
     {
       sim::perf::PerfSession session(profiler);
-      r = scenarios::run_campus(cfg);
+      r = scenarios::run_campus(campus);
     }
-    workload = "campus-" + std::to_string(cfg.hosts);
+    workload = "campus-" + std::to_string(campus.hosts);
     sim_s = r.virtual_s;
     ok = r.ok;
     char digest[32];
@@ -1062,35 +918,20 @@ int cmd_perf(const std::vector<std::string>& args) {
     extra = std::string("\"digest\": \"") + digest + "\"";
     std::printf("campus: %zu hosts, %s after %.1f virtual s, digest %s\n",
                 r.hosts, scenarios::to_string(r.status), r.virtual_s, digest);
-  } else if (p.has("--pipeline")) {
-    std::string name;
-    p.str("--pipeline", &name);
-    const scenarios::Scenario* scenario = nullptr;
-    static const auto all = scenarios::all_scenarios();
-    for (const auto& s : all) {
-      std::string lower = s.name;
-      for (char& c : lower) c = static_cast<char>(std::tolower(c));
-      if (lower == name) scenario = &s;
-    }
-    if (scenario == nullptr) {
-      std::fprintf(stderr, "unknown scenario '%s'\n", name.c_str());
-      return usage();
-    }
-    scenarios::BenchmarkKind kind = scenarios::BenchmarkKind::kFtpRecv;
-    if (!parse_benchmark_kind(p, &kind)) return usage();
+  } else if (scenario != nullptr) {
     scenarios::BenchmarkOutcome outcome;
     {
       sim::perf::PerfSession session(profiler);
       board.set_phase("collect");
-      const trace::CollectedTrace collected = scenarios::collect_raw_trace(
-          *scenario, static_cast<std::uint64_t>(seed));
+      const trace::CollectedTrace collected =
+          scenarios::collect_raw_trace(*scenario, seed);
       board.set_phase("distill");
       core::Distiller distiller(core::DistillConfig{});
       const core::ReplayTrace replay = distiller.distill(collected);
       board.set_phase("modulated");
       outcome = scenarios::run_modulated_benchmark(
-          replay, kind, static_cast<std::uint64_t>(seed),
-          sim::milliseconds(10), 0.0, {}, sim::seconds(7200), perf_watchdog);
+          replay, kind, seed, sim::milliseconds(10), 0.0, {},
+          sim::seconds(7200), perf_watchdog);
     }
     workload = "pipeline-" + name + "-" + scenarios::to_string(kind);
     sim_s = sim::to_seconds(scenario->collection_duration) +
@@ -1108,15 +949,13 @@ int cmd_perf(const std::vector<std::string>& args) {
       trace = core::ReplayTrace::wavelan_like(
           sim::from_seconds(seconds > 0 ? seconds : 120));
     }
-    scenarios::BenchmarkKind kind = scenarios::BenchmarkKind::kFtpRecv;
-    if (!parse_benchmark_kind(p, &kind)) return usage();
     scenarios::BenchmarkOutcome outcome;
     {
       sim::perf::PerfSession session(profiler);
       board.set_phase("modulated");
       outcome = scenarios::run_modulated_benchmark(
-          trace, kind, static_cast<std::uint64_t>(seed),
-          sim::milliseconds(10), 0.0, {}, sim::seconds(7200), perf_watchdog);
+          trace, kind, seed, sim::milliseconds(10), 0.0, {},
+          sim::seconds(7200), perf_watchdog);
     }
     workload = std::string("benchmark-") + scenarios::to_string(kind);
     sim_s = outcome.elapsed_s;
@@ -1133,8 +972,7 @@ int cmd_perf(const std::vector<std::string>& args) {
   const std::string counters_path = prefix + ".perf-counters.json";
   {
     std::ostringstream f;
-    sim::perf::write_perf_json(f, snap, workload, sim_s,
-                               static_cast<std::size_t>(top), extra);
+    sim::perf::write_perf_json(f, snap, workload, sim_s, top, extra);
     if (!sim::io::write_artifact_or_complain(json_path, f.str())) {
       return kExitIo;
     }
@@ -1155,7 +993,7 @@ int cmd_perf(const std::vector<std::string>& args) {
   }
 
   std::ostringstream report;
-  sim::perf::write_perf_report(report, snap, static_cast<std::size_t>(top));
+  sim::perf::write_perf_report(report, snap, top);
   std::fputs(report.str().c_str(), stdout);
   std::printf("wrote %s, %s, and %s\n", json_path.c_str(),
               folded_path.c_str(), counters_path.c_str());
@@ -1207,21 +1045,19 @@ void print_status_human(const sim::status::StatusSnapshot& s) {
 }
 
 int cmd_status(const std::vector<std::string>& args) {
-  const Parsed p = parse(
-      "status", args,
-      {{"--json", false}, {"--follow", false}, {"--interval", true}}, 1, 1);
-  if (p.failed) return usage();
+  Args p = parse("tracemod status", args,
+                 {{"--json"}, {"--follow"}, {"--interval", Flag::kValue}}, 1,
+                 1);
   double interval = 0.5;
-  bool bad = false;
-  checked_number("status", p, "--interval", &interval, &bad);
-  if (bad || interval <= 0) return usage();
+  p.number("--interval", &interval);
+  if (!p.ok() || interval <= 0) return usage();
   const bool as_json = p.has("--json");
   const bool follow = p.has("--follow");
 
   std::uint64_t last_seq = 0;
   for (;;) {
     const sim::status::StatusReadResult r =
-        sim::status::read_status_file(p.pos[0]);
+        sim::status::read_status_file(p.pos()[0]);
     if (r.status == sim::status::StatusReadStatus::kOk) {
       if (r.snapshot.seq != last_seq) {
         last_seq = r.snapshot.seq;
@@ -1250,8 +1086,7 @@ int cmd_status(const std::vector<std::string>& args) {
 }
 
 int cmd_version(const std::vector<std::string>& args) {
-  const Parsed p = parse("version", args, {}, 0, 0);
-  if (p.failed) return usage();
+  if (!parse("tracemod version", args, {}).ok()) return usage();
   std::printf("tracemod %s (%s build)\n", kToolVersion, build_type());
   std::printf(
       "binary formats: trace v2 (TMTR), sweep journal TMSJ v1, "

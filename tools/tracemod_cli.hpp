@@ -1,15 +1,17 @@
-// The tracemod command line as a library, so the exit-code contract and
-// flag handling are testable without spawning the binary.
+// The tracemod and sweep command lines as a library, so the exit-code
+// contract and flag handling are testable without spawning the binaries.
+// Flags are parsed by the shared table parser (src/cli/flags.hpp).
 //
 // Contract (pinned by tests/tools/tracemod_cli_test.cpp):
 //   - unknown subcommands and malformed flags print usage to stderr and
 //     return kExitUsage;
-//   - I/O and trace-format failures return kExitIo;
+//   - I/O and trace-format failures return kExitIo, as does a --status
+//     prefix whose file cannot be written (before any work);
 //   - `verify` returns kExitSalvage for damaged-but-salvageable traces;
 //   - `audit` returns kExitAudit when the fidelity verdict is breach or
 //     unauditable;
 //   - kExitDegraded is returned by supervised sweeps that completed with
-//     degraded cells (tools/sweep.cpp: every cell ran, but at least one
+//     degraded cells (tools/sweep_main.cpp: every cell ran, but at least one
 //     trial exhausted its retries and carries a TrialError record), by
 //     runs whose journal/checkpoint plane degraded after a write failure
 //     (the results are complete but no longer resumable; DESIGN.md
@@ -24,21 +26,17 @@
 #include <string>
 #include <vector>
 
-namespace tracemod::cli {
+#include "cli/flags.hpp"  // the exit codes
 
-inline constexpr int kExitOk = 0;
-inline constexpr int kExitUsage = 1;
-inline constexpr int kExitIo = 2;
-inline constexpr int kExitSalvage = 3;
-inline constexpr int kExitAudit = 4;
-inline constexpr int kExitDegraded = 5;
-/// Bench-only (bench/build_guard.hpp defines the authoritative constant);
-/// mirrored here so the CLI test can pin the whole 0-6 contract disjoint.
-inline constexpr int kExitNonReleaseBuild = 6;
+namespace tracemod::cli {
 
 /// Runs one tracemod invocation.  `args` excludes argv[0]; the first
 /// element is the subcommand.  Never throws: failures map to the exit
 /// codes above with diagnostics on stderr.
 int run(const std::vector<std::string>& args);
+
+/// Runs one sweep invocation (tools/sweep_main.cpp); `args` excludes
+/// argv[0].  Never throws, like run().
+int sweep_main(const std::vector<std::string>& args);
 
 }  // namespace tracemod::cli
