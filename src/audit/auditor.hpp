@@ -22,6 +22,7 @@
 
 #include "audit/divergence.hpp"
 #include "audit/second_order.hpp"
+#include "sim/json.hpp"
 #include "sim/telemetry.hpp"
 
 namespace tracemod::core {
@@ -114,7 +115,9 @@ sim::TelemetrySnapshot telemetry_snapshot(const FidelityReport& report);
 /// Human-readable verdict section.
 void write_fidelity_report(std::ostream& out, const FidelityReport& report);
 
-/// Machine-readable verdict (schema "tracemod-fidelity-v1").
+/// Machine-readable verdict (schema "tracemod-fidelity-v1"), as a whole
+/// document or as one value of an enclosing document.
 void write_fidelity_json(std::ostream& out, const FidelityReport& report);
+void write_fidelity_json(sim::JsonWriter& w, const FidelityReport& report);
 
 }  // namespace tracemod::audit

@@ -36,8 +36,12 @@ inline constexpr int kExitSalvage = 3;
 inline constexpr int kExitAudit = 4;
 inline constexpr int kExitDegraded = 5;
 /// Bench-only (bench/build_guard.hpp defines the authoritative constant);
-/// mirrored here so the whole 0-6 contract is pinned in one place.
+/// mirrored here so the whole 0-7 contract is pinned in one place.
 inline constexpr int kExitNonReleaseBuild = 6;
+/// Bench-only: perf_gate, campus_scale or corpus_distill ran, and their
+/// gate failed (a regression, an unfinished workload, a STALLED point, a
+/// slow, RSS-blown or not-ok distill).
+inline constexpr int kExitGate = 7;
 
 /// One declared flag.
 struct Flag {

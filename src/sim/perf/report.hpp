@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/perf/perf.hpp"
@@ -97,11 +98,11 @@ void write_perf_report(std::ostream& out, const PerfSnapshot& snap,
 /// The `tracemod-perf-v1` report: totals, throughput (events/sec,
 /// sim-seconds per wall-second), allocs/event, per-domain aggregates, and
 /// the top_n hotspots.  `workload` names what ran; `sim_seconds` is the
-/// virtual time the workload covered (0 when not applicable); `extra` is
-/// spliced verbatim as additional top-level JSON members (may be empty).
+/// virtual time the workload covered (0 when not applicable); a non-empty
+/// `digest` (the campus run's) is written as a "digest" member.
 void write_perf_json(std::ostream& out, const PerfSnapshot& snap,
                      const std::string& workload, double sim_seconds,
-                     std::size_t top_n = 20, const std::string& extra = "");
+                     std::size_t top_n = 20, std::string_view digest = {});
 
 /// Appends the perf.* metric family onto a telemetry snapshot so the
 /// standard exporters (report, Prometheus text) carry it: counters

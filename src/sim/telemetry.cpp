@@ -1,7 +1,6 @@
 #include "sim/telemetry.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 #include <set>
 
@@ -11,12 +10,6 @@
 namespace tracemod::sim {
 
 namespace {
-
-std::string fmt(const char* f, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), f, v);
-  return buf;
-}
 
 /// Prometheus metric identifier: [a-zA-Z0-9_], everything else becomes '_'.
 std::string prom_name(const std::string& name) {
@@ -31,12 +24,6 @@ std::string prom_name(const std::string& name) {
 
 std::string run_label(const std::string& label) {
   return label.empty() ? "" : "{run=\"" + json_escape(label) + "\"}";
-}
-
-std::size_t distinct_nodes(const std::vector<Track>& tracks) {
-  std::set<std::string> nodes;
-  for (const Track& t : tracks) nodes.insert(t.node);
-  return nodes.size();
 }
 
 }  // namespace
@@ -67,24 +54,22 @@ TelemetrySnapshot capture_telemetry(const SimContext& ctx) {
 }
 
 void write_chrome_trace(std::ostream& out, const TelemetrySnapshot& snap) {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  write_chrome_trace_events(out, snap.tracks, snap.events);
-  out << "\n]}\n";
+  write_chrome_document(out, [&](JsonWriter& w) {
+    write_chrome_trace_events(w, snap.tracks, snap.events);
+  });
 }
 
 void write_chrome_trace(std::ostream& out,
                         const std::vector<LabeledTelemetry>& snaps) {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  int pid_base = 0;
-  bool continuation = false;
-  for (const LabeledTelemetry& s : snaps) {
-    if (s.snapshot == nullptr) continue;
-    write_chrome_trace_events(out, s.snapshot->tracks, s.snapshot->events,
-                              s.label, pid_base, continuation);
-    pid_base += static_cast<int>(distinct_nodes(s.snapshot->tracks));
-    continuation = continuation || !s.snapshot->tracks.empty();
-  }
-  out << "\n]}\n";
+  write_chrome_document(out, [&](JsonWriter& w) {
+    int pid_base = 0;
+    for (const LabeledTelemetry& s : snaps) {
+      if (s.snapshot == nullptr) continue;
+      pid_base += write_chrome_trace_events(w, s.snapshot->tracks,
+                                            s.snapshot->events, s.label,
+                                            pid_base);
+    }
+  });
 }
 
 void write_metrics_text(std::ostream& out, const TelemetrySnapshot& snap,

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -94,16 +95,22 @@ class FlightRecorder {
   std::uint64_t dropped_ = 0;
 };
 
-/// Writes the comma-separated Chrome trace-event objects for one recorder's
-/// events (metadata events naming each track, then the events sorted by
-/// timestamp).  Process ids start at pid_base + 1 and node names are
-/// prefixed with `label/` when label is non-empty, so several simulations
-/// can share one traceEvents array.  Emits a leading comma when
-/// `continuation` is true.  Timestamps are virtual-time microseconds.
-void write_chrome_trace_events(std::ostream& out,
-                               const std::vector<Track>& tracks,
-                               const std::vector<TraceEvent>& events,
-                               const std::string& label = "", int pid_base = 0,
-                               bool continuation = false);
+class JsonWriter;
+
+/// Writes a Chrome trace document -- the {"displayTimeUnit":"ms",
+/// "traceEvents":[...]} envelope, one event per line -- with `events`
+/// filling the traceEvents array.
+void write_chrome_document(std::ostream& out,
+                           const std::function<void(JsonWriter&)>& events);
+
+/// Writes one recorder's Chrome trace-event objects into the open
+/// traceEvents array: metadata events naming each track, then the events
+/// sorted by timestamp.  Process ids start at pid_base + 1 and node names
+/// are prefixed with `label/` when label is non-empty, so several
+/// simulations can share one array.  Timestamps are virtual-time
+/// microseconds.  Returns the number of process ids used.
+int write_chrome_trace_events(JsonWriter& w, const std::vector<Track>& tracks,
+                              const std::vector<TraceEvent>& events,
+                              const std::string& label = "", int pid_base = 0);
 
 }  // namespace tracemod::sim

@@ -291,8 +291,7 @@ TEST(PerfReport, PerfJsonCarriesTheV1Schema) {
     spin();
   }
   std::ostringstream out;
-  write_perf_json(out, capture_perf(profiler), "unit-test", 12.5, 5,
-                  "\"digest\": \"abc\"");
+  write_perf_json(out, capture_perf(profiler), "unit-test", 12.5, 5, "abc");
   const std::string json = out.str();
   EXPECT_NE(json.find("\"schema\": \"tracemod-perf-v1\""), std::string::npos);
   EXPECT_NE(json.find("\"workload\": \"unit-test\""), std::string::npos);

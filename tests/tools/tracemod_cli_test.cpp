@@ -24,10 +24,11 @@ std::string tmp(const std::string& name) {
 
 TEST(TracemodCli, ExitCodesArePinnedAndDistinct) {
   // The exit-code contract is external API (CI and scripts match on the
-  // numbers; README.md carries the full 0-6 table): never renumber.  5 is
+  // numbers; README.md carries the full 0-7 table): never renumber.  5 is
   // the supervised sweep's completed-with-degraded-cells code
   // (tools/sweep_main.cpp); 6 is reserved by the benchmark build guard and
-  // never returned by tracemod itself.
+  // 7 by the bench gates (perf_gate, campus_scale, corpus_distill); tracemod
+  // itself returns neither.
   EXPECT_EQ(kExitOk, 0);
   EXPECT_EQ(kExitUsage, 1);
   EXPECT_EQ(kExitIo, 2);
@@ -35,6 +36,7 @@ TEST(TracemodCli, ExitCodesArePinnedAndDistinct) {
   EXPECT_EQ(kExitAudit, 4);
   EXPECT_EQ(kExitDegraded, 5);
   EXPECT_EQ(kExitNonReleaseBuild, 6);
+  EXPECT_EQ(kExitGate, 7);
 }
 
 TEST(TracemodCli, NoCommandIsAUsageError) {
