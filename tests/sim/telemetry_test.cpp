@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "formats/json_strict.hpp"
 #include "sim/json.hpp"
 #include "sim/sim_context.hpp"
 #include "sim/trace_event.hpp"
@@ -59,40 +60,6 @@ TEST(JsonEscape, EscapesControlQuoteAndBackslash) {
   EXPECT_EQ(json_escape(std::string("a\x01z")), "a\\u0001z");
 }
 
-// A tiny structural JSON checker: verifies string/escape correctness and
-// that braces/brackets balance.  Not a full parser, but enough to catch the
-// classic exporter bugs (trailing commas are caught by the real validation
-// in CI via python -m json.tool).
-bool json_well_formed(const std::string& s) {
-  std::vector<char> stack;
-  bool in_string = false;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;  // skip escaped char
-      } else if (c == '"') {
-        in_string = false;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return false;  // raw control char inside a string
-      }
-      continue;
-    }
-    switch (c) {
-      case '"': in_string = true; break;
-      case '{': stack.push_back('}'); break;
-      case '[': stack.push_back(']'); break;
-      case '}':
-      case ']':
-        if (stack.empty() || stack.back() != c) return false;
-        stack.pop_back();
-        break;
-      default: break;
-    }
-  }
-  return !in_string && stack.empty();
-}
-
 TEST(ChromeTrace, SingleSnapshotIsWellFormed) {
   TelemetrySnapshot snap;
   snap.tracks = {{"mobile", "ip"}, {"server", "eth"}};
@@ -105,7 +72,7 @@ TEST(ChromeTrace, SingleSnapshotIsWellFormed) {
   std::ostringstream out;
   write_chrome_trace(out, snap);
   const std::string json = out.str();
-  EXPECT_TRUE(json_well_formed(json)) << json;
+  EXPECT_EQ(testing_json::strict_json_error(json), "") << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
@@ -125,7 +92,7 @@ TEST(ChromeTrace, MergedSnapshotsGetDistinctProcessesAndLabels) {
   std::ostringstream out;
   write_chrome_trace(out, snaps);
   const std::string json = out.str();
-  EXPECT_TRUE(json_well_formed(json)) << json;
+  EXPECT_EQ(testing_json::strict_json_error(json), "") << json;
   EXPECT_NE(json.find("trial0/mobile"), std::string::npos);
   EXPECT_NE(json.find("trial1/mobile"), std::string::npos);
   // The two snapshots' single track must land on different pids.
