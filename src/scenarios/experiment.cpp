@@ -47,7 +47,7 @@ core::ReplayTrace collect_replay_trace(const Scenario& scenario,
   const std::uint64_t seed =
       cfg.base_seed + 500 + static_cast<std::uint64_t>(trial);
   core::Distiller distiller;
-  return distiller.distill(collect_raw_trace(scenario, seed));
+  return distiller.distill(collect_raw_trace(scenario, seed, cfg.status));
 }
 
 BenchmarkOutcome run_modulated_trial(const core::ReplayTrace& trace,
@@ -101,9 +101,10 @@ std::vector<BenchmarkOutcome> run_live_trials(const Scenario& scenario,
 }
 
 trace::CollectedTrace collect_raw_trace(const Scenario& scenario,
-                                        std::uint64_t seed) {
+                                        std::uint64_t seed,
+                                        sim::status::StatusBoard* status) {
   LiveTestbed bed(scenario, seed);
-  return bed.collect_trace();
+  return bed.collect_trace(status);
 }
 
 std::vector<core::ReplayTrace> collect_replay_traces(

@@ -101,9 +101,11 @@ std::vector<BenchmarkOutcome> run_live_trials(const Scenario& scenario,
                                               const ExperimentConfig& cfg);
 
 /// One collection traversal; returns the raw trace (Figures 2-5 plot these
-/// and their distillations).
-trace::CollectedTrace collect_raw_trace(const Scenario& scenario,
-                                        std::uint64_t seed);
+/// and their distillations).  An enabled `status` board is told the
+/// traversal's dispatches.
+trace::CollectedTrace collect_raw_trace(
+    const Scenario& scenario, std::uint64_t seed,
+    sim::status::StatusBoard* status = nullptr);
 
 /// N collection traversals, each distilled to a replay trace.
 std::vector<core::ReplayTrace> collect_replay_traces(

@@ -90,12 +90,19 @@ LiveTestbed::LiveTestbed(const Scenario& scenario, std::uint64_t seed,
   channel_->start();
 }
 
-trace::CollectedTrace LiveTestbed::collect_trace() {
+trace::CollectedTrace LiveTestbed::collect_trace(
+    sim::status::StatusBoard* status) {
   trace::CollectionDaemon daemon(ctx_.loop(), *tap_);
   trace::PingWorkload ping(*mobile_, cfg_.server_addr, clock_);
   daemon.start();
   ping.start();
-  ctx_.loop().run_until(ctx_.loop().now() + scenario_.collection_duration);
+  sim::EventLoop& loop = ctx_.loop();
+  const std::uint64_t before = loop.dispatched();
+  loop.run_until(loop.now() + scenario_.collection_duration);
+  if (status != nullptr && status->enabled()) {
+    status->note_dispatch(loop.dispatched() - before,
+                          sim::to_seconds(loop.now()));
+  }
   ping.stop();
   daemon.stop();
   return daemon.take_trace();

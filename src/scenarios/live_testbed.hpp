@@ -18,6 +18,7 @@
 #include "scenarios/scenario.hpp"
 #include "sim/clock_model.hpp"
 #include "sim/sim_context.hpp"
+#include "sim/status/status.hpp"
 #include "trace/ping.hpp"
 #include "trace/trace_tap.hpp"
 #include "transport/host.hpp"
@@ -56,7 +57,10 @@ class LiveTestbed {
 
   /// Runs the paper's collection traversal: ping workload + trace tap for
   /// the scenario's collection duration.  Returns the collected trace.
-  trace::CollectedTrace collect_trace();
+  /// An enabled `status` board is told the traversal's dispatches when it
+  /// ends; a null or disabled one costs one branch.
+  trace::CollectedTrace collect_trace(
+      sim::status::StatusBoard* status = nullptr);
 
  private:
   Scenario scenario_;

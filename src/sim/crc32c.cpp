@@ -8,27 +8,54 @@ namespace {
 
 constexpr std::uint32_t kPolyReflected = 0x82F63B78u;
 
-constexpr std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables: kTables[0] is the classic bytewise table, and
+/// kTables[k][b] is the CRC of byte b followed by k zero bytes, so eight
+/// lookups advance the CRC over eight input bytes at once.
+constexpr Tables make_tables() {
+  Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc & 1u) ? (crc >> 1) ^ kPolyReflected : crc >> 1;
     }
-    table[i] = crc;
+    t[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kTable = make_table();
+constexpr Tables kTables = make_tables();
+
+/// Little-endian load assembled from bytes: the same value on every host,
+/// which the compiler folds into one load where the host is little-endian.
+inline std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 std::uint32_t crc32c(const void* data, std::size_t size, std::uint32_t seed) {
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t crc = ~seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ crc;
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+          kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+          kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = kTables[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }

@@ -6,8 +6,9 @@
 // status snapshots (sim/status/status.hpp).  CRC32C is the standard choice
 // for storage framing (iSCSI, ext4, Btrfs): it catches all burst errors up
 // to 32 bits and has good Hamming distance at trace-record payload sizes.
-// Table-driven software implementation; no hardware dependencies, identical
-// output on every platform.
+// Portable slicing-by-8 software implementation (eight compile-time tables,
+// eight input bytes per step, a bytewise tail); no hardware dependencies,
+// identical output on every platform.
 //
 // Lives in sim/ (the base library) so every layer can frame its files.
 #pragma once

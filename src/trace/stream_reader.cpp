@@ -21,6 +21,9 @@ constexpr std::size_t kReadChunk = 256 * 1024;
 /// Largest on-disk v1 record: packet tag byte + 40 payload bytes.
 constexpr std::size_t kMaxV1RecordBytes = 41;
 
+/// The stream writer's batch: one write() per this many bytes of frames.
+constexpr std::size_t kWriteBatch = 64 * 1024;
+
 /// True when a whole frame that checksums starts at bytes[pos].
 bool frame_validates(std::string_view bytes, std::size_t pos) {
   return io::scan_frame(bytes, pos, wire::kMaxRecordPayload).status ==
@@ -163,10 +166,17 @@ void TraceStreamReader::emit_good(TraceRecord rec,
 
 void TraceStreamReader::finish() {
   if (done_) return;
-  if (strict() && !headerless_ &&
-      report_.records_read < report_.records_expected) {
-    throw TraceFormatError("unexpected end of stream", abs(),
-                           last_record_index_);
+  if (strict() && !headerless_) {
+    if (report_.records_read < report_.records_expected) {
+      throw TraceFormatError("unexpected end of stream", abs(),
+                             last_record_index_);
+    }
+    // Bytes past the declared count mean the count is wrong: a stream
+    // writer that never finalized (count still zero) or a damaged field.
+    ensure(1);
+    if (avail() > 0) {
+      fail("trailing bytes after the declared record count", abs());
+    }
   }
   // Clean EOF but fewer frames than the header declared: the stream lost
   // its tail (or the count field itself is damaged) -- either way the
@@ -386,9 +396,10 @@ void TraceStreamReader::next_v1() {
 // --- streaming writer -------------------------------------------------------
 
 TraceStreamWriter::TraceStreamWriter(const std::string& path,
-                                     std::uint16_t version)
+                                     std::uint16_t version,
+                                     sim::io::FaultPlan* plan)
     : path_(path), version_(version) {
-  if (!sink_.open(path, sim::io::FileSink::Mode::kTruncate)) {
+  if (!sink_.open(path, sim::io::FileSink::Mode::kTruncate, plan)) {
     throw std::runtime_error("cannot open for writing: " + path);
   }
   const std::string header = wire::container_header(version, 0);
@@ -397,6 +408,7 @@ TraceStreamWriter::TraceStreamWriter(const std::string& path,
   if (!sink_.write(header)) {
     throw std::runtime_error("write failed: " + path);
   }
+  batch_.reserve(kWriteBatch + wire::kMaxFrameBytes);
 }
 
 TraceStreamWriter::~TraceStreamWriter() {
@@ -408,18 +420,28 @@ TraceStreamWriter::~TraceStreamWriter() {
   }
 }
 
-void TraceStreamWriter::append(const TraceRecord& record) {
-  frame_.clear();
-  wire::append_record(frame_, record, version_);
-  if (!sink_.write(frame_)) {
+void TraceStreamWriter::flush() {
+  if (failed_) throw std::runtime_error("write failed earlier: " + path_);
+  if (batch_.empty()) return;
+  if (!sink_.write(batch_)) {
+    // The file may now end in a torn frame; never patch its count.
+    failed_ = true;
     throw std::runtime_error("write failed: " + path_);
   }
+  batch_.clear();
+}
+
+void TraceStreamWriter::append(const TraceRecord& record) {
+  const std::size_t before = batch_.size();
+  wire::append_record(batch_, record, version_);
   ++records_;
-  bytes_ += frame_.size();
+  bytes_ += batch_.size() - before;
+  if (batch_.size() >= kWriteBatch) flush();
 }
 
 void TraceStreamWriter::finalize() {
   if (finalized_) return;
+  flush();
   // Patch the header count in place, then make the whole container
   // durable before reporting success: after finalize() returns, the trace
   // survives power loss.
@@ -429,7 +451,10 @@ void TraceStreamWriter::finalize() {
   sim::io::IoResult r = sink_.write_at(count_offset_, raw, sizeof(raw));
   if (r.ok) r = sink_.datasync();
   if (r.ok) r = sink_.close();
-  if (!r.ok) throw std::runtime_error("finalize failed: " + path_);
+  if (!r.ok) {
+    failed_ = true;
+    throw std::runtime_error("finalize failed: " + path_);
+  }
   finalized_ = true;
 }
 

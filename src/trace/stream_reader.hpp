@@ -16,9 +16,9 @@
 // window later via the headerless frame-range mode.
 //
 // TraceStreamWriter is the append-side dual: it writes the container header
-// with a zero record count, appends framed records one at a time, and
-// patches the count on finalize() -- so a multi-GB synthetic corpus can be
-// generated with flat memory.
+// with a zero record count, appends framed records in 64 KiB write batches,
+// and patches the count on finalize() -- so a multi-GB synthetic corpus can
+// be generated with flat memory and one syscall per batch.
 #pragma once
 
 #include <cstdint>
@@ -141,16 +141,26 @@ class TraceStreamReader {
   std::deque<Pending> pending_;
 };
 
-/// Streaming v2 writer: header up front (count patched on finalize), one
-/// framed record per append.  File-based because finalize() must seek.
-/// Writes through the durable plane (sim/io/file_sink.hpp) directly --
-/// not via atomic replace, because a collection stream can be far larger
-/// than the free space a tmp copy would need, and an unfinalized file is
-/// already detectably invalid (zero count against a non-empty body).
+/// Streaming v2 writer: header up front (count patched on finalize), framed
+/// records appended into a 64 KiB batch that goes out as one write when
+/// full.  File-based because finalize() must seek.  Writes through the
+/// durable plane (sim/io/file_sink.hpp) directly -- not via atomic replace,
+/// because a collection stream can be far larger than the free space a tmp
+/// copy would need, and an unfinalized file is already detectably invalid
+/// (zero count against a non-empty body).
+///
+/// Batching means a crash (SIGKILL, power loss) loses at most the unflushed
+/// batch on top of what an unfinalized file loses anyway; the salvage
+/// reader still recovers every whole frame that landed.  A write error
+/// surfaces as std::runtime_error from the append() that flushes, or from
+/// finalize(); after one, the writer never patches the count, so the file
+/// stays strictly invalid.
 class TraceStreamWriter {
  public:
+  /// plan == nullptr consults the ambient fault plan (sim/io/fault_plan.hpp).
   explicit TraceStreamWriter(const std::string& path,
-                             std::uint16_t version = kTraceFormatVersion);
+                             std::uint16_t version = kTraceFormatVersion,
+                             sim::io::FaultPlan* plan = nullptr);
   ~TraceStreamWriter();
 
   TraceStreamWriter(const TraceStreamWriter&) = delete;
@@ -158,22 +168,28 @@ class TraceStreamWriter {
 
   void append(const TraceRecord& record);
 
+  /// Records and bytes appended so far, flushed or still batched.
   std::uint64_t records_written() const { return records_; }
   std::uint64_t bytes_written() const { return bytes_; }
 
-  /// Seeks back and patches the header's record count; the file is not a
-  /// valid trace until this runs.  Throws std::runtime_error on I/O failure.
+  /// Flushes the batch, seeks back and patches the header's record count,
+  /// and fdatasyncs; the file is not a valid trace until this runs.
+  /// Throws std::runtime_error on I/O failure, or if an earlier write
+  /// failed.
   void finalize();
 
  private:
+  void flush();
+
   sim::io::FileSink sink_;
   std::string path_;
   std::uint16_t version_;
-  std::string frame_;  ///< reused encode buffer, one record at a time
+  std::string batch_;  ///< encoded frames not yet written
   std::uint64_t count_offset_ = 0;
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;
   bool finalized_ = false;
+  bool failed_ = false;
 };
 
 }  // namespace tracemod::trace

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <utility>
-#include <vector>
 
 #include "sim/random.hpp"
 #include "trace/records.hpp"
@@ -80,22 +79,30 @@ CorpusInfo generate_ping_corpus(const std::string& path,
     const double t3 = t2 + s2 * vb;
     const std::array<double, 3> rtts = {t1, t2, t3};
 
-    std::vector<PacketRecord> events(sent.begin(), sent.end());
+    // At most six events per group, held in place: no heap per group.
+    // Inserting each event behind every earlier one that is not later
+    // keeps std::stable_sort's exact order.
+    std::array<PacketRecord, 6> events;
+    std::size_t n_events = 0;
+    const auto push = [&](const PacketRecord& p) {
+      std::size_t j = n_events++;
+      events[j] = p;
+      for (; j > 0 && events[j].at < events[j - 1].at; --j) {
+        std::swap(events[j], events[j - 1]);
+      }
+    };
+    for (const PacketRecord& p : sent) push(p);
     for (std::size_t i = 0; i < 3; ++i) {
       if (rng.chance(spec.reply_loss)) {
         ++info.replies_dropped;
         continue;
       }
-      events.push_back(reply(sent[i], sim::from_seconds(rtts[i])));
+      push(reply(sent[i], sim::from_seconds(rtts[i])));
     }
-    std::stable_sort(events.begin(), events.end(),
-                     [](const PacketRecord& a, const PacketRecord& b) {
-                       return a.at < b.at;
-                     });
     sim::TimePoint last = t;
-    for (const PacketRecord& p : events) {
-      writer.append(p);
-      last = p.at;
+    for (std::size_t i = 0; i < n_events; ++i) {
+      writer.append(events[i]);
+      last = events[i].at;
     }
 
     // Device-record padding toward the proportional size target, strictly

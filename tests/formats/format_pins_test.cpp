@@ -19,6 +19,7 @@
 #include "scenarios/experiment.hpp"
 #include "scenarios/supervisor.hpp"
 #include "sim/status/status.hpp"
+#include "trace/stream_reader.hpp"
 #include "trace/synthetic_corpus.hpp"
 #include "trace/trace_io.hpp"
 
@@ -89,6 +90,42 @@ TEST(FormatPins, TraceV2Bytes) {
   const std::string bytes = trace_bytes(trace::kTraceFormatVersionV2);
   EXPECT_EQ(bytes.size(), 434u);
   EXPECT_EQ(fnv1a64(bytes), "edf553a6b7964d0f");
+}
+
+// The streaming writer batches frames into 64 KiB writes; the file it
+// leaves must be the in-memory writer's bytes exactly, at any size.
+std::string stream_bytes(const trace::CollectedTrace& trace,
+                         const std::string& name) {
+  const std::string path = tmp(name);
+  {
+    trace::TraceStreamWriter writer(path);
+    for (const trace::TraceRecord& r : trace.records) writer.append(r);
+    writer.finalize();
+  }
+  const std::string bytes = slurp(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+TEST(FormatPins, TraceStreamWriterBytes) {
+  const std::string bytes = stream_bytes(sample_trace(), "stream.trace");
+  EXPECT_EQ(bytes.size(), 434u);
+  EXPECT_EQ(fnv1a64(bytes), "edf553a6b7964d0f");
+}
+
+TEST(FormatPins, TraceStreamWriterMatchesInMemoryWriterAcrossBatches) {
+  trace::CollectedTrace big;
+  const trace::CollectedTrace sample = sample_trace();
+  for (int i = 0; i < 1400; ++i) {  // 5600 records, about 224 KiB
+    for (const trace::TraceRecord& r : sample.records) {
+      big.records.push_back(r);
+    }
+  }
+  std::ostringstream out;
+  trace::write_trace(out, big);
+  const std::string streamed = stream_bytes(big, "stream_big.trace");
+  EXPECT_GE(streamed.size(), 3u * 64 * 1024);  // three or more batches
+  EXPECT_EQ(streamed, out.str());
 }
 
 TEST(FormatPins, TraceV1Bytes) {

@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "scenarios/campus.hpp"
+#include "scenarios/experiment.hpp"
 #include "scenarios/supervisor.hpp"
+#include "trace/trace_io.hpp"
 
 namespace tracemod::scenarios {
 namespace {
@@ -137,6 +140,46 @@ TEST(StatusPipeline, DegradedSweepCountsItsErrorsOnTheBoard) {
   EXPECT_EQ(snap.retries, result.supervision.trials_retried);
   // A failed trial still counts as a finished unit; the sweep completed.
   EXPECT_EQ(snap.units_done, snap.units_total);
+}
+
+TEST(StatusPipeline, CollectionUnitsReportTheirDispatches) {
+  // A serial sweep with no benchmark kinds but auditing on runs exactly
+  // one collection traversal (the first finished unit) and one audit, and
+  // only the collection dispatches on a status-reporting loop.  A snapshot
+  // that counts the collection as done must count its events too.
+  const std::vector<Scenario> sc = {wean()};
+  ExperimentConfig cfg;
+  cfg.trials = 1;
+  cfg.audit.enabled = true;
+
+  sim::status::StatusBoard board;
+  ASSERT_TRUE(board.configure(board_config("collect.status")));
+  cfg.status = &board;
+  const SweepResult result = run_supervised_sweep(nullptr, sc, {}, cfg);
+  ASSERT_FALSE(result.supervision.degraded());
+
+  // The same traversal with status off, counted directly on its own loop.
+  const std::uint64_t seed = cfg.base_seed + 500;
+  LiveTestbed bed(wean(), seed);
+  const std::uint64_t before = bed.loop().dispatched();
+  const trace::CollectedTrace off = bed.collect_trace();
+  const std::uint64_t collected = bed.loop().dispatched() - before;
+  ASSERT_GT(collected, 0u);
+
+  const auto read = sim::status::read_status_file(board.path());
+  ASSERT_EQ(read.status, sim::status::StatusReadStatus::kOk) << read.message;
+  EXPECT_EQ(read.snapshot.units_total, 2.0);
+  EXPECT_EQ(read.snapshot.units_done, 2.0);
+  EXPECT_EQ(read.snapshot.events_dispatched, collected);
+  EXPECT_GT(read.snapshot.sim_seconds, 0.0);
+
+  // Reporting moved no virtual-time result: status on collects the very
+  // bytes status off does.
+  std::ostringstream off_bytes;
+  std::ostringstream on_bytes;
+  trace::write_trace(off_bytes, off);
+  trace::write_trace(on_bytes, collect_raw_trace(wean(), seed, &board));
+  EXPECT_EQ(on_bytes.str(), off_bytes.str());
 }
 
 }  // namespace

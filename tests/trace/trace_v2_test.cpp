@@ -2,14 +2,21 @@
 // reports, and resistance to hostile length/count fields.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/metric_names.hpp"
 #include "sim/sim_context.hpp"
 #include "sim/crc32c.hpp"
+#include "sim/io/fault_plan.hpp"
 #include "sim/io/framed.hpp"
+#include "sim/random.hpp"
+#include "trace/frame_format.hpp"
+#include "trace/stream_reader.hpp"
 #include "trace/trace_io.hpp"
 
 namespace tracemod::trace {
@@ -125,6 +132,60 @@ TEST(TraceV2, Crc32cKnownAnswer) {
   EXPECT_EQ(crc32c(s, 9), 0xE3069283u);
   // Incremental == one-shot.
   EXPECT_EQ(crc32c(s + 4, 5, crc32c(s, 4)), crc32c(s, 9));
+}
+
+/// The textbook bit-at-a-time CRC32C: the definition the table-driven
+/// sim::crc32c must reproduce for every length, alignment and seed.
+std::uint32_t reference_crc32c(const unsigned char* p, std::size_t n,
+                               std::uint32_t seed = 0) {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<unsigned char> out(n);
+  for (unsigned char& b : out) b = static_cast<unsigned char>(rng.next_u64());
+  return out;
+}
+
+TEST(TraceV2, Crc32cMatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  const std::vector<unsigned char> buf = random_bytes(8 + 257, 3720);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      ASSERT_EQ(sim::crc32c(buf.data() + offset, len),
+                reference_crc32c(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(TraceV2, Crc32cChainedSeedsMatchOneShotAcrossBlockBoundaries) {
+  const std::vector<unsigned char> buf = random_bytes(64, 20);
+  for (std::size_t total : {std::size_t{9}, std::size_t{17}, std::size_t{40},
+                            std::size_t{64}}) {
+    const std::uint32_t whole = reference_crc32c(buf.data(), total);
+    for (std::size_t split = 0; split <= total; ++split) {
+      const std::uint32_t a = sim::crc32c(buf.data(), split);
+      ASSERT_EQ(sim::crc32c(buf.data() + split, total - split, a), whole)
+          << "split " << split << " of " << total;
+    }
+  }
+  // A non-zero seed continues the reference definition too.
+  EXPECT_EQ(sim::crc32c(buf.data(), 23, 0xDEADBEEFu),
+            reference_crc32c(buf.data(), 23, 0xDEADBEEFu));
+}
+
+TEST(TraceV2, Crc32cMatchesBytewiseReferenceOnOneMebibyte) {
+  const std::vector<unsigned char> buf = random_bytes(1 << 20, 1997);
+  EXPECT_EQ(sim::crc32c(buf.data(), buf.size()),
+            reference_crc32c(buf.data(), buf.size()));
 }
 
 TEST(TraceV2, StrictErrorsCarryOffsetAndRecordIndex) {
@@ -308,6 +369,155 @@ TEST(TraceV2, SalvageBumpsMetricsRegistry) {
             result.report.records_salvaged);
   EXPECT_EQ(metrics.value(sim::metric::kResyncScans), 0u);
   EXPECT_GT(result.report.records_salvaged, 0u);
+}
+
+// --- streaming writer under write faults ------------------------------------
+
+/// Packet and device records only (about 220 KiB of v2 frames), so every
+/// LostRecords a salvage read returns is a synthesized damage marker.
+CollectedTrace drill_trace() {
+  CollectedTrace trace;
+  for (int i = 0; i < 5000; ++i) {
+    const sim::TimePoint at = sim::kEpoch + sim::milliseconds(i);
+    if (i % 3 == 2) {
+      trace.records.emplace_back(DeviceRecord{at, 20.0 + i % 7, 10.5, 1.0});
+      continue;
+    }
+    PacketRecord p;
+    p.at = at;
+    p.protocol = net::Protocol::kIcmp;
+    p.ip_bytes = 64 + static_cast<std::uint32_t>(i % 1400);
+    p.icmp_kind = IcmpKind::kEcho;
+    p.icmp_seq = static_cast<std::uint16_t>(i);
+    p.echo_origin = at;
+    trace.records.emplace_back(p);
+  }
+  return trace;
+}
+
+std::string slurp_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// Streams `trace` through a writer whose sink consults `plan`; true when
+/// the writer threw std::runtime_error (from construction, an append's
+/// batch flush, or finalize).
+bool stream_under_plan(const std::string& path, const CollectedTrace& trace,
+                       sim::io::FaultPlan& plan) {
+  try {
+    TraceStreamWriter writer(path, kTraceFormatVersionV2, &plan);
+    for (const TraceRecord& r : trace.records) writer.append(r);
+    writer.finalize();
+  } catch (const std::runtime_error&) {
+    return true;
+  }
+  return false;
+}
+
+/// A writer that failed left an invalid file: the strict reader rejects
+/// it, and a salvage read yields exactly the whole frames that landed --
+/// an in-order prefix of `trace`, then at most damage markers.
+void expect_exact_salvaged_prefix(const std::string& path,
+                                  const CollectedTrace& trace,
+                                  const std::string& what) {
+  SCOPED_TRACE(what);
+  const std::string bytes = slurp_file(path);
+  if (bytes.size() < header_size()) {
+    // The header itself was torn: nothing is recoverable, and even
+    // salvage refuses a stream it cannot identify.
+    EXPECT_THROW(read_bytes(bytes, ReadMode::kSalvage), TraceFormatError);
+    return;
+  }
+  if (bytes.size() == header_size()) {
+    // No frame byte landed: a zero count over an empty body is the empty
+    // trace, which is the (empty) exact prefix.
+    EXPECT_TRUE(read_bytes(bytes, ReadMode::kStrict).trace.records.empty());
+    return;
+  }
+  EXPECT_THROW(read_bytes(bytes, ReadMode::kStrict), TraceFormatError);
+
+  // The header still carries a zero count; the body is a byte prefix of
+  // the in-memory writer's.
+  const std::string full = to_bytes(trace);
+  const std::size_t h = header_size();
+  ASSERT_EQ(bytes.compare(0, h, to_bytes(CollectedTrace{})), 0);
+  ASSERT_EQ(full.compare(h, bytes.size() - h, bytes, h), 0) << "diverged";
+
+  // The number of whole frames on disk.
+  std::size_t landed = 0;
+  for (std::size_t end = h; landed < trace.records.size(); ++landed) {
+    std::string frame;
+    wire::append_record(frame, trace.records[landed], kTraceFormatVersionV2);
+    end += frame.size();
+    if (end > bytes.size()) break;
+  }
+
+  const auto result = read_bytes(bytes, ReadMode::kSalvage);
+  CollectedTrace good;
+  bool marker_seen = false;
+  for (const TraceRecord& r : result.trace.records) {
+    if (std::holds_alternative<LostRecords>(r)) {
+      marker_seen = true;
+      continue;
+    }
+    ASSERT_FALSE(marker_seen) << "a record after a damage marker";
+    good.records.push_back(r);
+  }
+  ASSERT_EQ(good.records.size(), landed);
+  CollectedTrace prefix;
+  prefix.records.assign(trace.records.begin(),
+                        trace.records.begin() + static_cast<long>(landed));
+  EXPECT_EQ(to_bytes(good), to_bytes(prefix));
+}
+
+TEST(TraceV2, StreamWriterCrashOrEioAtEveryWriteLeavesASalvageablePrefix) {
+  const CollectedTrace trace = drill_trace();
+  const std::string path = testing::TempDir() + "tracemod_v2_crash.trace";
+
+  // A clean run counts the sink's operations: open, the header write, one
+  // write per 64 KiB batch, then finalize's count patch, fdatasync, close.
+  sim::io::FaultPlan clean{sim::io::FaultPlanConfig{}};
+  ASSERT_FALSE(stream_under_plan(path, trace, clean));
+  const std::uint64_t ops = clean.ops_seen();
+  ASSERT_GE(ops, 5u + 3u);  // three or more batch writes
+
+  // Every write before the count patch: the header and each batch.  A
+  // crash tears the write and kills the plan; an EIO lands nothing and
+  // the next write would succeed, so only the writer itself can keep a
+  // failed file from being finalized.
+  for (std::uint64_t op = 2; op + 3 <= ops; ++op) {
+    sim::io::FaultPlanConfig crash;
+    crash.crash_at_op = op;
+    crash.seed = op;
+    sim::io::FaultPlanConfig eio;
+    eio.eio_at_op = op;
+    for (const auto& cfg : {crash, eio}) {
+      sim::io::FaultPlan plan(cfg);
+      const std::string what = plan.config().to_spec();
+      EXPECT_TRUE(stream_under_plan(path, trace, plan)) << what;
+      ASSERT_EQ(plan.log().size(), 1u) << what;  // the one injected fault
+      expect_exact_salvaged_prefix(path, trace, what);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceV2, StreamWriterEnospcThrowsAndLeavesASalvageablePrefix) {
+  const CollectedTrace trace = drill_trace();
+  const std::string path = testing::TempDir() + "tracemod_v2_enospc.trace";
+  for (const std::uint64_t budget : {std::uint64_t{100}, std::uint64_t{100000},
+                                     std::uint64_t{200000}}) {
+    sim::io::FaultPlanConfig cfg;
+    cfg.enospc_after_bytes = budget;
+    sim::io::FaultPlan plan(cfg);
+    EXPECT_TRUE(stream_under_plan(path, trace, plan)) << "budget " << budget;
+    expect_exact_salvaged_prefix(path, trace,
+                                 "ENOSPC after " + std::to_string(budget));
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
