@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <optional>
 
+#include "sim/perf/perf.hpp"
 #include "sim/stats.hpp"
 
 namespace tracemod::scenarios {
@@ -28,6 +30,11 @@ BenchmarkOutcome run_live_trial(const Scenario& scenario, BenchmarkKind kind,
   bed_cfg.telemetry = cfg.telemetry;
   LiveTestbed bed(scenario, cfg.base_seed + static_cast<std::uint64_t>(trial),
                   bed_cfg);
+  // The world's own perf profiler observes its dispatches for the run.
+  std::optional<sim::perf::PerfSession> perf;
+  if (cfg.telemetry.enabled) {
+    perf.emplace(bed.context().telemetry().profiler());
+  }
   BenchmarkOutcome out = run_benchmark(kind, bed.mobile(), bed.server(),
                                        bed.server_addr(), bed.loop(),
                                        cfg.supervision.virtual_budget,
@@ -127,6 +134,10 @@ BenchmarkOutcome run_modulated_benchmark(
   ecfg.modulation.inbound_vb_compensation = inbound_vb_compensation;
   ecfg.telemetry = telemetry;
   core::Emulator emulator(trace, ecfg);
+  std::optional<sim::perf::PerfSession> perf;
+  if (telemetry.enabled) {
+    perf.emplace(emulator.context().telemetry().profiler());
+  }
   BenchmarkOutcome out =
       run_benchmark(kind, emulator.mobile(), emulator.server(),
                     ecfg.server_addr, emulator.loop(), timeout, watchdog);

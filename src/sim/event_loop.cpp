@@ -1,6 +1,5 @@
 #include "sim/event_loop.hpp"
 
-#include <chrono>
 #include <cstdio>
 
 #include "sim/assert.hpp"
@@ -27,9 +26,7 @@ EventId EventLoop::schedule_at(TimePoint t, std::function<void()> fn,
   const EventId id = next_id_++;
   queue_.push(Entry{t, next_seq_++, id, std::move(fn), tag});
   live_.insert(id);
-  if (profiler_ != nullptr && live_.size() > profiler_->queue_high_water) {
-    profiler_->queue_high_water = live_.size();
-  }
+  if (live_.size() > queue_high_water_) queue_high_water_ = live_.size();
   return id;
 }
 
@@ -76,21 +73,9 @@ bool EventLoop::dispatch_one() {
     // thread the two hooks cost a TLS load plus a predicted branch.
     perf::PerfProfiler* const pp = perf::current();
     if (pp != nullptr) pp->on_dispatch(now_, live_.size());
-    if (profiler_ == nullptr) {
-      perf::PerfScope scope(pp, perf::Domain::kEventLoop,
-                            e.tag != nullptr ? e.tag : "(untagged)");
-      e.fn();
-      return true;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-      perf::PerfScope scope(pp, perf::Domain::kEventLoop,
-                            e.tag != nullptr ? e.tag : "(untagged)");
-      e.fn();
-    }
-    const std::chrono::duration<double> self =
-        std::chrono::steady_clock::now() - t0;
-    profiler_->note(e.tag, self.count());
+    perf::PerfScope scope(pp, perf::Domain::kEventLoop,
+                          e.tag != nullptr ? e.tag : "(untagged)");
+    e.fn();
     return true;
   }
   return false;

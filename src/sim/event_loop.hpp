@@ -8,9 +8,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <queue>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -20,30 +18,6 @@ namespace tracemod::sim {
 
 /// Opaque handle for a scheduled event.  Value 0 is never issued.
 using EventId = std::uint64_t;
-
-/// EventLoop introspection for finding simulator hot spots: dispatch counts
-/// per handler tag, wall-clock self-time per tag, and queue-depth high
-/// water.  Tag strings come from the optional tag argument to schedule();
-/// untagged events aggregate under "(untagged)".  Counts and high water are
-/// deterministic for a given simulation; self-time is measured on the host
-/// wall clock and is reported separately from deterministic output.
-struct EventLoopProfiler {
-  struct TagStats {
-    std::uint64_t count = 0;
-    double self_seconds = 0.0;
-  };
-
-  std::uint64_t dispatched = 0;
-  std::size_t queue_high_water = 0;
-  std::map<std::string, TagStats> by_tag;
-
-  void note(const char* tag, double self_seconds) {
-    TagStats& s = by_tag[tag != nullptr ? tag : "(untagged)"];
-    ++s.count;
-    s.self_seconds += self_seconds;
-    ++dispatched;
-  }
-};
 
 class EventLoop {
  public:
@@ -56,7 +30,8 @@ class EventLoop {
 
   /// Schedules fn at absolute time t.  Times in the past are clamped to
   /// now().  Returns a cancellable id.  The optional tag (a static string)
-  /// classifies the handler for the profiler; it has no effect on dispatch.
+  /// names the handler's perf-plane call path ("event_loop;<tag>",
+  /// sim/perf/perf.hpp); it has no effect on dispatch.
   EventId schedule_at(TimePoint t, std::function<void()> fn,
                       const char* tag = nullptr);
 
@@ -65,12 +40,6 @@ class EventLoop {
                    const char* tag = nullptr) {
     return schedule_at(now_ + delay, std::move(fn), tag);
   }
-
-  /// Attaches a profiler (nullptr detaches).  When attached, every
-  /// dispatch is counted per tag and timed on the host wall clock.  The
-  /// profiler observes only; dispatch order and virtual time are
-  /// unaffected.
-  void set_profiler(EventLoopProfiler* p) { profiler_ = p; }
 
   /// Cancels a pending event.  Returns false if it already ran, was already
   /// cancelled, or never existed.
@@ -103,13 +72,17 @@ class EventLoop {
   /// exceed half the heap once it passes a small minimum size.
   std::size_t queue_size() const { return queue_.size(); }
 
+  /// The most events ever pending at once, counted just after an insert
+  /// (cancelled heap entries are not counted).  Deterministic.
+  std::size_t queue_high_water() const { return queue_high_water_; }
+
  private:
   struct Entry {
     TimePoint at;
     std::uint64_t seq;  // tie-break: FIFO among equal timestamps
     EventId id;
     std::function<void()> fn;
-    const char* tag;  // profiler classification; nullptr = untagged
+    const char* tag;  // perf-plane label; nullptr = untagged
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -128,7 +101,7 @@ class EventLoop {
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
   std::size_t dead_in_queue_ = 0;
-  EventLoopProfiler* profiler_ = nullptr;
+  std::size_t queue_high_water_ = 0;
 };
 
 /// RAII one-shot timer bound to an EventLoop.  Used by protocol state
@@ -141,7 +114,7 @@ class Timer {
   Timer& operator=(const Timer&) = delete;
 
   /// (Re)arms the timer to fire after the delay, replacing any pending arm.
-  /// The optional tag classifies the handler for the EventLoop profiler.
+  /// The optional tag names the handler as in EventLoop::schedule_at.
   void arm(Duration delay, std::function<void()> fn,
            const char* tag = nullptr) {
     cancel();

@@ -159,7 +159,10 @@ class PerfProfiler {
 };
 
 namespace detail {
-extern thread_local PerfProfiler* g_current;
+// constinit tells every includer the pointer is constant-initialised, so
+// reads are a plain TLS load with no TLS-init wrapper call (which UBSan
+// misreads as a null load in GCC 12 -O2 builds).
+extern thread_local constinit PerfProfiler* g_current;
 }
 
 /// The profiler attached to the calling thread, or nullptr.  This is the

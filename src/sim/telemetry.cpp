@@ -1,6 +1,6 @@
 #include "sim/telemetry.hpp"
 
-#include <algorithm>
+#include <map>
 #include <ostream>
 #include <set>
 
@@ -41,6 +41,8 @@ TelemetrySnapshot capture_telemetry(const SimContext& ctx) {
     snap.tracks = tel.recorder().tracks();
     snap.events = tel.recorder().events();
     snap.events_dropped = tel.recorder().dropped();
+    snap.queue_high_water = ctx.loop().queue_high_water();
+    snap.perf = perf::capture_perf(tel.profiler());
   }
   snap.counters = ctx.metrics().snapshot();
   for (const auto& [name, hist] : ctx.metrics().histograms()) {
@@ -49,7 +51,6 @@ TelemetrySnapshot capture_telemetry(const SimContext& ctx) {
   for (const auto& [name, series] : ctx.metrics().series_channels()) {
     snap.series.emplace_back(name, series);
   }
-  snap.profiler = tel.loop_profiler();
   return snap;
 }
 
@@ -147,12 +148,23 @@ void write_report(std::ostream& out, const TelemetrySnapshot& snap,
   for (const auto& [name, value] : snap.counters) {
     out << "  " << name << " = " << value << "\n";
   }
-  out << "[event loop] dispatched=" << snap.profiler.dispatched
-      << " queue-high-water=" << snap.profiler.queue_high_water << "\n";
-  for (const auto& [tag, stats] : snap.profiler.by_tag) {
-    out << "  " << tag << ": count=" << stats.count;
+  out << "[event loop] dispatched=" << snap.perf.dispatched
+      << " queue-high-water=" << snap.queue_high_water << "\n";
+  // One root path "event_loop;<tag>" per handler tag; deeper paths nest
+  // under them.
+  const std::string root =
+      std::string(perf::to_string(perf::Domain::kEventLoop)) + ";";
+  std::map<std::string, const perf::PerfPath*> by_tag;
+  for (const perf::PerfPath& p : snap.perf.paths) {
+    if (p.path.rfind(root, 0) == 0 &&
+        p.path.find(';', root.size()) == std::string::npos) {
+      by_tag[p.path.substr(root.size())] = &p;
+    }
+  }
+  for (const auto& [tag, p] : by_tag) {
+    out << "  " << tag << ": count=" << p->count;
     if (include_wall_time) {
-      out << " self=" << fmt("%.3f", stats.self_seconds * 1e3) << "ms";
+      out << " self=" << fmt("%.3f", p->est_total_s * 1e3) << "ms";
     }
     out << "\n";
   }

@@ -12,7 +12,10 @@
 //   - richer metrics: named histograms and sim-time-sampled series in the
 //     context's MetricsRegistry (delay-queue depth, bottleneck backlog,
 //     replay-buffer fill, end-to-end latency);
-//   - the EventLoop profiler (per-tag dispatch counts + wall self-time).
+//   - a wall-clock perf profiler (sim/perf/perf.hpp) that the runners
+//     attach for the run; the report's `[event loop]` section reads its
+//     per-tag dispatch counts.  A telemetered world's dispatches go to
+//     its own profiler, even inside an enclosing PerfSession.
 //
 // A finished run is captured into a TelemetrySnapshot -- a plain value
 // that can cross threads -- and exported as Chrome trace-event JSON (loads
@@ -29,7 +32,8 @@
 #include <string>
 #include <vector>
 
-#include "sim/event_loop.hpp"
+#include "sim/perf/perf.hpp"
+#include "sim/perf/report.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace_event.hpp"
 
@@ -65,8 +69,10 @@ class Telemetry {
     return enabled_ ? recorder_->track(node, layer) : kNoTrack;
   }
 
-  EventLoopProfiler& loop_profiler() { return profiler_; }
-  const EventLoopProfiler& loop_profiler() const { return profiler_; }
+  /// The run's perf profiler.  Valid only while enabled(); whoever runs
+  /// the world attaches it with a perf::PerfSession for the run.
+  perf::PerfProfiler& profiler() { return *profiler_; }
+  const perf::PerfProfiler& profiler() const { return *profiler_; }
 
  private:
   friend class SimContext;
@@ -75,18 +81,20 @@ class Telemetry {
     if (!cfg.enabled) return;
     enabled_ = true;
     recorder_ = std::make_unique<FlightRecorder>(cfg.max_events);
+    profiler_ = std::make_unique<perf::PerfProfiler>();
   }
 
   bool enabled_ = false;
   TelemetryConfig cfg_;
   std::unique_ptr<FlightRecorder> recorder_;
-  EventLoopProfiler profiler_;
+  std::unique_ptr<perf::PerfProfiler> profiler_;
 };
 
 /// Everything observable from one finished simulation, as a plain value:
 /// the flight-recorder contents, the metrics registry (counters,
-/// histograms, series), and the EventLoop profiler.  Snapshots are taken
-/// per experiment and merged deterministically by the exporters below.
+/// histograms, series), the event loop's queue high water, and the perf
+/// profiler's snapshot.  Snapshots are taken per experiment and merged
+/// deterministically by the exporters below.
 struct TelemetrySnapshot {
   std::vector<Track> tracks;
   std::vector<TraceEvent> events;
@@ -94,7 +102,9 @@ struct TelemetrySnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, Histogram>> histograms;
   std::vector<std::pair<std::string, TimeSeries>> series;
-  EventLoopProfiler profiler;
+  std::size_t queue_high_water = 0;
+  /// The run's perf plane; only `tracemod report --perf` exports it.
+  perf::PerfSnapshot perf;
 
   /// Number of distinct layer names across all tracks.
   std::size_t distinct_layers() const;
@@ -126,9 +136,10 @@ void write_metrics_text(std::ostream& out,
                         const std::vector<LabeledTelemetry>& snaps);
 
 /// Human-readable report: flight-recorder summary, series channels,
-/// histograms, and the EventLoop profiler.  Wall-clock self-times are
-/// included only when include_wall_time is set, so tests can pin the
-/// deterministic shape.
+/// histograms, counters, and the event loop: dispatches and per-tag counts
+/// from the perf plane's root `event_loop;<tag>` paths.  Each tag's
+/// wall-clock time (the handler's inclusive time) is included only when
+/// include_wall_time is set, so tests can pin the deterministic shape.
 void write_report(std::ostream& out, const TelemetrySnapshot& snap,
                   bool include_wall_time = true);
 

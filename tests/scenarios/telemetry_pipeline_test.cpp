@@ -62,10 +62,18 @@ TEST(TelemetryPipeline, ModulatedRunRecordsAllLayers) {
   ASSERT_NE(depth, nullptr);
   EXPECT_FALSE(depth->empty());
 
-  // The profiler saw the run.
-  EXPECT_GT(snap.profiler.dispatched, 0u);
-  EXPECT_GT(snap.profiler.queue_high_water, 0u);
-  EXPECT_FALSE(snap.profiler.by_tag.empty());
+  // The run's own perf profiler saw every dispatch.
+  EXPECT_GT(snap.perf.dispatched, 0u);
+  EXPECT_GT(snap.queue_high_water, 0u);
+  const std::string root = "event_loop;";
+  std::uint64_t root_dispatches = 0;
+  for (const sim::perf::PerfPath& p : snap.perf.paths) {
+    if (p.path.rfind(root, 0) == 0 &&
+        p.path.find(';', root.size()) == std::string::npos) {
+      root_dispatches += p.count;
+    }
+  }
+  EXPECT_EQ(root_dispatches, snap.perf.dispatched);
 }
 
 TEST(TelemetryPipeline, LiveRunRecordsTheAirLayer) {

@@ -110,6 +110,23 @@ TEST(EventLoop, DispatchedCounter) {
   EXPECT_EQ(loop.dispatched(), 7u);
 }
 
+TEST(EventLoop, QueueHighWaterIgnoresCancelledEntries) {
+  // High water counts live events just after an insert; cancelled entries
+  // still in the heap do not count.
+  EventLoop loop;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 3; ++i) {
+    ids.push_back(loop.schedule(milliseconds(i + 1), [] {}));
+  }
+  loop.cancel(ids[0]);
+  loop.cancel(ids[1]);
+  loop.schedule(milliseconds(5), [] {});
+  EXPECT_EQ(loop.queue_size(), 4u);  // two dead entries not yet popped
+  EXPECT_EQ(loop.queue_high_water(), 3u);
+  loop.run();
+  EXPECT_EQ(loop.queue_high_water(), 3u);
+}
+
 TEST(EventLoop, CancelHeavyWorkloadKeepsQueueBounded) {
   // Regression for heap rot: a repeatedly re-armed timer (the dominant
   // cancel pattern -- TCP retransmission timers, NFS retry timers) used to

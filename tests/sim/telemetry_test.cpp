@@ -6,6 +6,7 @@
 
 #include "formats/json_strict.hpp"
 #include "sim/json.hpp"
+#include "sim/perf/perf.hpp"
 #include "sim/sim_context.hpp"
 #include "sim/trace_event.hpp"
 
@@ -177,33 +178,32 @@ TEST(MetricsRegistry, ChannelsEnumerateInNameOrder) {
   EXPECT_EQ(series_names, (std::vector<std::string>{"alpha", "zeta"}));
 }
 
-// --- event loop profiler ---------------------------------------------------
+// --- event loop section ----------------------------------------------------
 
-TEST(EventLoopProfiler, CountsTagsAndQueueHighWater) {
-  EventLoopProfiler prof;
-  EventLoop loop;
-  loop.set_profiler(&prof);
+TEST(TelemetryReport, EventLoopSectionCountsTagsAndQueueHighWater) {
+  TelemetryConfig cfg;
+  cfg.enabled = true;
+  SimContext ctx(1, cfg);
+  EventLoop& loop = ctx.loop();
   int fired = 0;
   for (int i = 0; i < 3; ++i) {
     loop.schedule(milliseconds(i), [&] { ++fired; }, "tick");
   }
   loop.schedule(milliseconds(9), [&] { ++fired; });  // untagged
-  loop.run();
+  {
+    perf::PerfSession session(ctx.telemetry().profiler());
+    loop.run();
+  }
   EXPECT_EQ(fired, 4);
-  EXPECT_EQ(prof.dispatched, 4u);
-  EXPECT_EQ(prof.queue_high_water, 4u);
-  ASSERT_EQ(prof.by_tag.count("tick"), 1u);
-  EXPECT_EQ(prof.by_tag.at("tick").count, 3u);
-  ASSERT_EQ(prof.by_tag.count("(untagged)"), 1u);
-  EXPECT_EQ(prof.by_tag.at("(untagged)").count, 1u);
-}
-
-TEST(EventLoopProfiler, DetachedLoopDoesNotRecord) {
-  EventLoopProfiler prof;
-  EventLoop loop;
-  loop.schedule(milliseconds(1), [] {}, "tick");
-  loop.run();
-  EXPECT_EQ(prof.dispatched, 0u);
+  std::ostringstream out;
+  write_report(out, capture_telemetry(ctx), /*include_wall_time=*/false);
+  const std::string text = out.str();
+  const std::size_t at = text.find("[event loop]");
+  ASSERT_NE(at, std::string::npos) << text;
+  EXPECT_EQ(text.substr(at),
+            "[event loop] dispatched=4 queue-high-water=4\n"
+            "  (untagged): count=1\n"
+            "  tick: count=3\n");
 }
 
 // --- text exporters --------------------------------------------------------
@@ -233,7 +233,10 @@ TEST(Report, OmitsWallClockWhenAsked) {
   cfg.enabled = true;
   SimContext ctx(1, cfg);
   ctx.loop().schedule(milliseconds(1), [] {}, "tick");
-  ctx.loop().run();
+  {
+    perf::PerfSession session(ctx.telemetry().profiler());
+    ctx.loop().run();
+  }
   std::ostringstream with, without;
   write_report(with, capture_telemetry(ctx), /*include_wall_time=*/true);
   write_report(without, capture_telemetry(ctx), /*include_wall_time=*/false);

@@ -198,6 +198,26 @@ TEST(TracemodCli, PerfCampusMatchesUnprofiledCampusDigest) {
   EXPECT_EQ(profiled_digest, expect);
 }
 
+TEST(TracemodCli, ReportEventLoopSectionMatchesPerfTotals) {
+  // The report's [event loop] section and its --perf hotspot table read
+  // the same perf plane, so their dispatch counts agree exactly.
+  const std::string prefix = tmp("report");
+  testing::internal::CaptureStdout();
+  const int code = run({"report", prefix, "--perf", "--seconds", "30"});
+  const std::string text = testing::internal::GetCapturedStdout();
+  ASSERT_EQ(code, kExitOk) << text;
+  auto number_after = [&](const std::string& key) -> std::string {
+    const std::size_t at = text.find(key);
+    if (at == std::string::npos) return "missing " + key;
+    const std::size_t begin = at + key.size();
+    return text.substr(begin, text.find_first_not_of("0123456789", begin) -
+                                  begin);
+  };
+  const std::string dispatched = number_after("[event loop] dispatched=");
+  EXPECT_NE(dispatched, "0");
+  EXPECT_EQ(dispatched, number_after("[totals] events=")) << text;
+}
+
 TEST(TracemodCli, VersionCommandSucceedsInBothSpellings) {
   EXPECT_EQ(run({"version"}), kExitOk);
   EXPECT_EQ(run({"--version"}), kExitOk);

@@ -73,7 +73,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <set>
 #include <sstream>
 
@@ -680,27 +679,17 @@ int cmd_report(const std::vector<std::string>& args) {
 
   sim::TelemetryConfig tcfg;
   tcfg.enabled = true;
-  // With --perf the same run is also profiled on the wall-clock plane;
-  // the profiler never touches virtual time, so the telemetry content is
-  // identical either way.
-  sim::perf::PerfProfiler profiler;
-  scenarios::BenchmarkOutcome outcome;
-  {
-    std::optional<sim::perf::PerfSession> session;
-    if (p.has("--perf")) session.emplace(profiler);
-    outcome = scenarios::run_modulated_benchmark(
-        trace, kind, seed, sim::milliseconds(10), 0.0, tcfg);
-  }
+  const scenarios::BenchmarkOutcome outcome =
+      scenarios::run_modulated_benchmark(trace, kind, seed,
+                                         sim::milliseconds(10), 0.0, tcfg);
   if (outcome.telemetry == nullptr) {
     std::fprintf(stderr, "telemetry capture failed\n");
     return kExitIo;
   }
+  // The telemetered run always profiles itself on the wall-clock plane;
+  // --perf also exports that profile (the perf.* family and hotspots).
   auto tel = std::make_shared<sim::TelemetrySnapshot>(*outcome.telemetry);
-  sim::perf::PerfSnapshot perf_snap;
-  if (p.has("--perf")) {
-    perf_snap = sim::perf::capture_perf(profiler);
-    sim::perf::append_perf_to_telemetry(*tel, perf_snap);
-  }
+  if (p.has("--perf")) sim::perf::append_perf_to_telemetry(*tel, tel->perf);
   const sim::TelemetrySnapshot& snap = *tel;
 
   // With --audit, close the loop on the same replay trace and carry the
@@ -732,7 +721,7 @@ int cmd_report(const std::vector<std::string>& args) {
   sim::write_report(report, snap);
   if (p.has("--perf")) {
     report << "\n";
-    sim::perf::write_perf_report(report, perf_snap);
+    sim::perf::write_perf_report(report, snap.perf);
   }
   if (audit_snap != nullptr) {
     report << "\n";
